@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 
 from .engine import LevelMetrics, run_level
-from .ledger import chain_snapshot_lines
+from .ledger import write_snapshot
 from .netsim import TraceWriter
 from .scenario import ScenarioConfig
 
@@ -58,10 +58,7 @@ def run_scenario(
         if trace_fh:
             trace_fh.close()
     if snapshot_path and last_run is not None:
-        with open(snapshot_path, "w", encoding="utf-8") as fh:
-            for line in chain_snapshot_lines(last_run.chain):
-                fh.write(line)
-                fh.write("\n")
+        write_snapshot(last_run.chain, snapshot_path)
     return MetricsReport(step=config.step, levels=tuple(levels))
 
 

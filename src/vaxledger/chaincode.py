@@ -113,10 +113,6 @@ class ProposalResponse:
     read_set: tuple
     write_set: tuple
 
-    @property
-    def payload_size(self) -> int:
-        return len(self.operation)
-
 
 @dataclass(frozen=True)
 class VerifyResult:

@@ -11,21 +11,24 @@ import dataclasses
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 import click
 
 from . import credential as cred
 from .bench import export_csv, render_csv_table, report_to_csv_text, run_scenario
 from .calibrate import CalibrationError, calibrate, format_residuals, load_targets
-from .engine import single_register_timeline, single_verify_timeline
+from .engine import LevelRun
 from .ledger import EU_MEMBER_STATES
 from .scenario import (
     ConfigError,
     DEFAULT_PROFILE,
     ServiceTimeProfile,
     default_register_config,
+    default_verify_config,
     load_config,
 )
+from .workload import generate_arrivals
 
 EXIT_CONFIG_ERROR = 1
 EXIT_CALIBRATION_FAILURE = 2
@@ -60,8 +63,54 @@ def main():
     """Permissioned vaccination-certificate ledger: tools and simulator."""
 
 
-def _fmt_ms(us: int) -> str:
-    return f"{us / 1000:8.2f} ms"
+# Timeline labels of a one-request run, keyed by (message trace event, host
+# role), in flow order. The default batch holds ten transactions, so a lone
+# registration is always cut by the batch timer.
+_REGISTER_LABELS = {
+    ("send:proposal", "client"): "request submitted by {host}",
+    ("recv:proposal", "peer"): "proposal received at {host} (REST interface)",
+    ("send:envelope", "peer"): "endorsed by {host}",
+    ("recv:envelope", "sequencer"): "envelope received at {host}",
+    ("recv:envelope", "broker"): "appended to the replicated log",
+    ("send:block", "sequencer"): "batch timeout: block {block} sealed ({txs} tx)",
+    ("recv:block", "peer"): "block delivered to all 27 peers",
+    ("send:response", "peer"): "committed at {host}: transaction valid",
+    ("recv:response", "client"): "acknowledgment received by {host}",
+}
+_VERIFY_LABELS = {
+    ("send:query", "client"): "verification request submitted by {host}",
+    ("recv:query", "peer"): "query received at {host} (REST interface)",
+    ("send:response", "peer"): "content query done: record {found} (scanned {scanned} entries)",
+    ("recv:response", "client"): "response received by {host}",
+}
+
+
+def _run_one_request(config, start):
+    """Run `start(run)` at t=0 as the only request on a fresh level-1 world.
+
+    The world is preloaded as the sweep's level 1 is. Returns the run and the
+    (time, host) of the last message record per (event, host role).
+    """
+    marks = {}
+
+    def record(at, event, host, size):
+        marks[(event, host.rsplit("-", 1)[0])] = (at, host)
+
+    run = LevelRun(config, 1, SimpleNamespace(record=record))
+    run.preload(generate_arrivals(1, config.duration_seconds, config.arrival_mode, config.seed))
+    start(run)
+    run.queue.drain()
+    return run, marks
+
+
+def _echo_timeline(marks, labels, **facts) -> int:
+    """Print the milestones that occurred, in flow order; returns the last time."""
+    at_us = 0
+    for key, label in labels.items():
+        if key in marks:
+            at_us, host = marks[key]
+            click.echo(f"{at_us / 1000:8.2f} ms  {label.format(host=host, **facts)}")
+    return at_us
 
 
 @main.command()
@@ -136,11 +185,13 @@ def register(credential_file, ms):
         raise ConfigError(f"unknown member state: {ms}")
     anchor = cred.hash_credential(credential)
     config = default_register_config()
-    timeline, _run = single_register_timeline(anchor, ms, config)
+    run, marks = _run_one_request(config, lambda run: run.start_register(anchor, ms, 0))
+    block = run.chain.blocks[-1]
     click.echo(f"registering anchor {anchor.hex} via {ms}")
-    for at_us, label in timeline:
-        click.echo(f"{_fmt_ms(at_us)}  {label}")
-    click.echo(f"response time: {timeline[-1][0] / 1000:.2f} ms")
+    done_at = _echo_timeline(
+        marks, _REGISTER_LABELS, block=block.number, txs=len(block.transactions)
+    )
+    click.echo(f"response time: {done_at / 1000:.2f} ms")
 
 
 @main.command()
@@ -158,11 +209,18 @@ def verify(credential_file, ms, now, unanchored):
     if ms not in EU_MEMBER_STATES:
         raise ConfigError(f"unknown member state: {ms}")
     anchor = cred.hash_credential(credential)
-    config = default_register_config()
-    timeline, result = single_verify_timeline(anchor, ms, config, anchored=not unanchored)
+
+    def start(run):
+        if not unanchored:
+            run.anchor(ms, anchor)
+        run.start_verify((ms, anchor.hex), ms, 0)
+
+    run, marks = _run_one_request(default_verify_config(), start)
+    found = run.errors == 0
     click.echo(f"verifying anchor {anchor.hex} via {ms}")
-    for at_us, label in timeline:
-        click.echo(f"{_fmt_ms(at_us)}  {label}")
+    _echo_timeline(
+        marks, _VERIFY_LABELS, found="found" if found else "not found", scanned=run.scan_count()
+    )
     if "issuer_public_key" in doc:
         issuer_keys = {
             credential.issuer.text: (
@@ -174,7 +232,7 @@ def verify(credential_file, ms, now, unanchored):
         outcome = cred.verify_credential(credential, issuer_keys, check_at)
         status = "accepted" if outcome.accepted else f"rejected ({outcome.reason})"
         click.echo(f"credential signature/validity: {status}")
-    click.echo("anchor found on ledger" if result.found else "anchor NOT found on ledger")
+    click.echo("anchor found on ledger" if found else "anchor NOT found on ledger")
 
 
 @main.command()

@@ -7,15 +7,20 @@ client -> peer (REST, endorse) -> ordering (sequence, batch, seal) ->
 block fan-out -> per-peer commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response.
 
+Each flow has one implementation, `start_register` or `start_verify`, which
+starts one request: `execute` calls it per arrival, the CLI once on a
+preloaded world, reading the request's milestones from the message trace.
+
 The canonical chain and world state are applied once, at seal time; per-peer
 commit stations model commit timing only. This keeps a single authoritative
 replay (the total order every peer receives) without 27 redundant state
 copies.
 
-Worst-case query cost is charged per request as
-query_per_record_us * (record count). The content scan itself runs once per
-level against the immutable preloaded state and is memoized: state does not
-change during a verify level, so every scan is the same pure computation.
+Query cost is charged per request as query_per_record_us times the records
+`verify_certificate` reads in the configured query mode (every entry for the
+worst-case scan, one for the exact lookup). The chaincode call runs once per
+level and is memoized: state does not change during a verify level, so every
+request's lookup costs the same.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from dataclasses import dataclass
 from .chaincode import (
     ChaincodeContext,
     MedicalCenterRecord,
-    WORST_CASE_SCAN,
     register_certificate,
     register_medical_center,
-    rich_query,
+    verify_certificate,
 )
 from .credential import CertificateHash, HMAC_SHA256, generate_did, generate_keypair
 from .ledger import (
@@ -53,7 +57,7 @@ from .netsim import (
 )
 from .ordering import BatchConfig, Envelope, OrderingCluster, seal_block
 from .scenario import ScenarioConfig
-from .workload import generate_arrivals
+from .workload import ArrivalSchedule, generate_arrivals
 
 __all__ = ["LevelMetrics", "LevelRun", "run_level", "build_ms_keys"]
 
@@ -142,7 +146,6 @@ class LevelRun:
         self.invalid_txs = 0
         self.started = 0
         self.completed = 0
-        self.request_events = 0
         self.inflight_samples: list = []
         self._timer_armed_at: int | None = None
         self._broker_rr = 0
@@ -160,16 +163,23 @@ class LevelRun:
         )
         return hashlib.sha256(tag.encode()).digest()[:16]
 
-    def _commit_setup_block(self, txs: list) -> None:
-        block = seal_block(
-            [Envelope(transaction=tx, received_at=0, size_bytes=0) for tx in txs],
-            self.chain.tip if self.chain.blocks else (-1, b"\x00" * 32),
-            self.sealer_key,
-        )
+    def _seal(self, batch: list) -> tuple:
+        """Seal a batch onto the tip and apply it; returns (block, validity flags)."""
+        block = seal_block(batch, self.chain.tip, self.sealer_key)
         self.chain.append_block(block)
-        flags = apply_block(self.state, block, self.policy)
+        return block, apply_block(self.state, block, self.policy)
+
+    def _commit_setup_block(self, txs: list) -> None:
+        _block, flags = self._seal(
+            [Envelope(transaction=tx, received_at=0, size_bytes=0) for tx in txs]
+        )
         if not all(f.valid for f in flags):
             raise RuntimeError("setup block contained invalid transactions")
+
+    def _register_tx(self, ms: str, cert: CertificateHash) -> Transaction:
+        """The register chaincode run on `cert` by the peer of `ms`, endorsed."""
+        ctx = ChaincodeContext(caller=ms, state=self.state)
+        return self._build_tx(ms, register_certificate(ctx, cert, self.center_dids[ms]))
 
     def _build_tx(self, ms: str, response) -> Transaction:
         tx = Transaction(
@@ -182,12 +192,13 @@ class LevelRun:
         )
         return endorse_transaction(tx, self.ms_keys[ms])
 
-    def preload(self) -> None:
+    def preload(self, schedule: ArrivalSchedule) -> None:
         """Anchor centers and the pre-provisioned certificate population.
 
-        Setup happens before the measurement window: no messages, no
-        bandwidth, sealed directly into setup blocks so the chain replays
-        cleanly from genesis.
+        A verify level also provisions one distinct target record per request
+        in `schedule`. Setup happens before the measurement window: no
+        messages, no bandwidth, sealed directly into setup blocks so the chain
+        replays cleanly from genesis.
         """
         center_txs = []
         for ms in EU_MEMBER_STATES:
@@ -209,15 +220,13 @@ class LevelRun:
 
         total = self.config.preloaded_records
         if self.config.step == "verify":
-            total += self._planned_requests()
+            total += len(schedule)
         batch: list = []
         for index in range(total):
             ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
             digest = hashlib.sha256(b"preload-cert|%d" % index).digest()
             cert = CertificateHash(digest)
-            ctx = ChaincodeContext(caller=ms, state=self.state)
-            response = register_certificate(ctx, cert, self.center_dids[ms])
-            batch.append(self._build_tx(ms, response))
+            batch.append(self._register_tx(ms, cert))
             self.provisioned.append((ms, cert.hex))
             if len(batch) == 500:
                 self._commit_setup_block(batch)
@@ -225,9 +234,10 @@ class LevelRun:
         if batch:
             self._commit_setup_block(batch)
 
-    def _planned_requests(self) -> int:
-        return len(generate_arrivals(self.level, self.config.duration_seconds,
-                                     self.config.arrival_mode, self.config.seed))
+    def anchor(self, ms: str, cert: CertificateHash) -> None:
+        """Anchor one more certificate, after `preload`, in its own setup block."""
+        self._commit_setup_block([self._register_tx(ms, cert)])
+        self.provisioned.append((ms, cert.hex))
 
     # ------------------------------------------------------------------
     # ambient traffic
@@ -297,32 +307,15 @@ class LevelRun:
     # ------------------------------------------------------------------
     # register flow
 
-    def _start_register(self, request_index: int, ms: str, arrived_at: int) -> None:
+    def start_register(self, cert: CertificateHash, ms: str, arrived_at: int) -> None:
+        """Client at `ms` asks its peer to anchor `cert`; the request arrived at `arrived_at`."""
         self.started += 1
-        self.request_events += 1
-        client = _client_host(ms)
         peer = _peer_host(ms)
 
-        def at_peer():
-            done_at = self.queue.clock + self.profile.rest_overhead_us
-
-            def after_rest():
-                finish = self.endorse_stations[ms].enqueue(
-                    self.queue.clock, self.profile.endorse_us
-                )
-                self.queue.schedule(finish, endorsed)
-
-            self.queue.schedule(done_at, after_rest)
-
         def endorsed():
-            digest = hashlib.sha256(b"live-cert|%d|%d" % (round(float(self.level) * 1000), request_index)).digest()
-            ctx = ChaincodeContext(caller=ms, state=self.state)
-            response = register_certificate(
-                ctx, CertificateHash(digest), self.center_dids[ms]
-            )
-            tx = self._build_tx(ms, response)
+            tx = self._register_tx(ms, cert)
             if not self.cluster.available:
-                self._fail_request(ms, arrived_at)
+                self._fail_request(ms)
                 return
             sequencer = self.cluster.lead_instance("sequencer")
             seq_host = f"sequencer-{sequencer}"
@@ -335,13 +328,24 @@ class LevelRun:
 
             self.net.send(peer, seq_host, self.profile.envelope_bytes, "envelope", at_sequencer)
 
-        self.net.send(client, peer, self.profile.proposal_bytes, "proposal", at_peer)
+        at_peer = self._at_peer(self.endorse_stations[ms], self.profile.endorse_us, endorsed)
+        self.net.send(_client_host(ms), peer, self.profile.proposal_bytes, "proposal", at_peer)
+
+    def _at_peer(self, station: ServiceStation, service_us: int, then):
+        """A request's delivery at its peer: REST overhead, `station` service, `then()`."""
+        def arrived():
+            def after_rest():
+                self.queue.schedule(station.enqueue(self.queue.clock, service_us), then)
+
+            self.queue.schedule(self.queue.clock + self.profile.rest_overhead_us, after_rest)
+
+        return arrived
 
     def _replicate(self, tx: Transaction, ms: str, arrived_at: int) -> None:
         """Sequencer hands the envelope to a broker; append happens on arrival."""
         ups = [i for i, up in enumerate(self.cluster.status["broker"]) if up]
         if not ups or not self.cluster.available:
-            self._fail_request(ms, arrived_at)
+            self._fail_request(ms)
             return
         broker = ups[self._broker_rr % len(ups)]
         self._broker_rr += 1
@@ -356,7 +360,7 @@ class LevelRun:
             )
             result = self.cluster.submit(envelope)
             if not result.accepted:
-                self._fail_request(ms, arrived_at)
+                self._fail_request(ms)
                 return
             self.accepted += 1
             self._pending_acks[tx.tx_id] = (ms, arrived_at)
@@ -364,7 +368,7 @@ class LevelRun:
 
         self.net.send(seq_host, f"broker-{broker}", self.profile.envelope_bytes, "envelope", at_broker)
 
-    def _fail_request(self, ms: str, arrived_at: int) -> None:
+    def _fail_request(self, ms: str) -> None:
         self.errors += 1
         peer = _peer_host(ms)
 
@@ -398,11 +402,7 @@ class LevelRun:
         self.queue.schedule(fire_at, fire)
 
     def _seal_and_fanout(self, batch: list) -> None:
-        block = seal_block(
-            batch, self.chain.tip if self.chain.blocks else (-1, b"\x00" * 32), self.sealer_key
-        )
-        self.chain.append_block(block)
-        flags = apply_block(self.state, block, self.policy)
+        block, flags = self._seal(batch)
         valid_ids = set()
         for tx, flag in zip(block.transactions, flags):
             if flag.valid:
@@ -421,96 +421,76 @@ class LevelRun:
                 acks_by_ms.setdefault(entry[0], []).append(entry[1])
         commit_service = self.profile.commit_per_tx_us * len(batch)
         for ms in EU_MEMBER_STATES:
-            peer = _peer_host(ms)
             acks = acks_by_ms.get(ms, ())
 
-            def delivered(ms=ms, peer=peer, acks=acks):
+            def delivered(ms=ms, acks=acks):
                 finish = self.commit_stations[ms].enqueue(self.queue.clock, commit_service)
 
                 def committed():
                     for arrived_at in acks:
-                        self._send_ack(peer, ms, arrived_at)
+                        self._respond(ms, self.profile.endorsement_bytes, arrived_at)
 
                 self.queue.schedule(finish, committed)
 
-            self.net.send(seq_host, peer, block_bytes, "block", delivered)
+            self.net.send(seq_host, _peer_host(ms), block_bytes, "block", delivered)
 
-    def _send_ack(self, peer: str, ms: str, arrived_at: int) -> None:
+    def _respond(self, ms: str, size: int, arrived_at: int) -> None:
+        """Peer `ms` answers its client; the response time ends on delivery."""
         def done():
             self.completed += 1
             self.responses_us.append(self.queue.clock - arrived_at)
 
-        self.net.send(peer, _client_host(ms), self.profile.endorsement_bytes, "response", done)
+        self.net.send(_peer_host(ms), _client_host(ms), size, "response", done)
 
     # ------------------------------------------------------------------
     # verify flow
 
-    def _scan_count_now(self) -> int:
-        """Full content scan, executed once per level (state is immutable here)."""
+    def scan_count(self) -> int:
+        """Records one verification reads; `verify_certificate` runs once per level."""
         if self._scan_memo is None:
             ms, cert_hex = self.provisioned[-1]
-            ctx = ChaincodeContext(caller=ms, state=self.state, query_mode=WORST_CASE_SCAN)
-            matches, scanned = rich_query(
-                ctx.state, {"doc_type": "cert", "cert_hash": cert_hex}
-            )
-            if not matches:
+            ctx = ChaincodeContext(caller=ms, state=self.state, query_mode=self.config.query_mode)
+            result = verify_certificate(ctx, CertificateHash.from_hex(cert_hex), issuer_ms=ms)
+            if not result.found:
                 raise RuntimeError("provisioned verification target missing from state")
-            self._scan_memo = scanned
+            self._scan_memo = result.scan_count
         return self._scan_memo
 
-    def _start_verify(self, request_index: int, target_ms: str, arrived_at: int) -> None:
+    def start_verify(self, target: tuple, ms: str, arrived_at: int) -> None:
+        """Client at `ms` asks its peer whether `target` = (record ms, cert hex)
+        is anchored; the request arrived at `arrived_at`."""
         self.started += 1
-        self.request_events += 1
-        record_ms, cert_hex = self.provisioned[request_index % len(self.provisioned)]
-        client = _client_host(target_ms)
-        peer = _peer_host(target_ms)
+        record_ms, cert_hex = target
 
-        def at_peer():
-            done_at = self.queue.clock + self.profile.rest_overhead_us
+        def query_done():
+            if self.state.get(cert_key(record_ms, cert_hex)) is None:
+                self.errors += 1
+            self._respond(ms, self.profile.response_bytes, arrived_at)
 
-            def after_rest():
-                if self.config.query_mode == WORST_CASE_SCAN:
-                    records = self._scan_count_now()
-                else:
-                    records = 1
-                service = round(self.profile.query_per_record_us * records)
-                finish = self.query_stations[target_ms].enqueue(self.queue.clock, service)
-
-                def query_done():
-                    found = self.state.get(cert_key(record_ms, cert_hex)) is not None
-                    if not found:
-                        self.errors += 1
-                    self._send_query_response(peer, client, arrived_at)
-
-                self.queue.schedule(finish, query_done)
-
-            self.queue.schedule(done_at, after_rest)
-
-        self.net.send(client, peer, self.profile.query_bytes, "query", at_peer)
-
-    def _send_query_response(self, peer: str, client: str, arrived_at: int) -> None:
-        def done():
-            self.completed += 1
-            self.responses_us.append(self.queue.clock - arrived_at)
-
-        self.net.send(peer, client, self.profile.response_bytes, "response", done)
+        service = round(self.profile.query_per_record_us * self.scan_count())
+        at_peer = self._at_peer(self.query_stations[ms], service, query_done)
+        self.net.send(_client_host(ms), _peer_host(ms), self.profile.query_bytes, "query", at_peer)
 
     # ------------------------------------------------------------------
     # execution
 
     def execute(self) -> LevelMetrics:
-        self.preload()
         schedule = generate_arrivals(
             self.level, self.config.duration_seconds, self.config.arrival_mode, self.config.seed
         )
+        self.preload(schedule)
         verify_single = self.config.step == "verify" and self.config.verify_target == "single"
+        level_tag = round(float(self.level) * 1000)
         for index, at in enumerate(schedule.arrivals_us):
             if self.config.step == "register":
                 ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
-                self.queue.schedule(at, lambda i=index, m=ms, t=at: self._start_register(i, m, t))
+                digest = hashlib.sha256(b"live-cert|%d|%d" % (level_tag, index)).digest()
+                cert = CertificateHash(digest)
+                self.queue.schedule(at, lambda c=cert, m=ms, t=at: self.start_register(c, m, t))
             else:
                 ms = EU_MEMBER_STATES[0] if verify_single else EU_MEMBER_STATES[index % 27]
-                self.queue.schedule(at, lambda i=index, m=ms, t=at: self._start_verify(i, m, t))
+                target = self.provisioned[index % len(self.provisioned)]
+                self.queue.schedule(at, lambda g=target, m=ms, t=at: self.start_verify(g, m, t))
         self._schedule_ambient()
         self._schedule_faults()
         self._schedule_sampler()
@@ -562,7 +542,7 @@ class LevelRun:
             block_count=len(self.chain.blocks),
             scan_count=self._scan_memo or 0,
             processed_events=self.queue.processed,
-            request_events=self.request_events,
+            request_events=self.started,
         )
 
     def _backlog_grows(self) -> bool:
@@ -585,87 +565,3 @@ def run_level(config: ScenarioConfig, level, tracer: TraceWriter | None = None):
     metrics = run.execute()
     return metrics, run
 
-
-def _single_world(config: ScenarioConfig):
-    """A fresh one-request world: ledger, centers, cluster, keys."""
-    run = LevelRun(config, 1)
-    run.preload()
-    return run
-
-
-def single_register_timeline(cert_hash: CertificateHash, ms: str, config: ScenarioConfig):
-    """Register one real certificate hash end to end on an idle fresh world.
-
-    With nothing else in flight every station is free, so each hop's time is
-    the model's service/transit arithmetic applied directly; the single
-    transaction is cut by the batch timer. Returns (timeline, run) where
-    timeline is a list of (time_us, label) milestones.
-    """
-    run = _single_world(config)
-    profile, link = config.service_profile, config.link
-    from .netsim import transit_delay_us
-
-    t = 0
-    timeline = [(t, f"request submitted by client-{ms}")]
-    t += transit_delay_us(link, profile.proposal_bytes)
-    timeline.append((t, f"proposal received at peer-{ms} (REST interface)"))
-    t += profile.rest_overhead_us
-    t += profile.endorse_us
-    ctx = ChaincodeContext(caller=ms, state=run.state)
-    response = register_certificate(ctx, cert_hash, run.center_dids[ms])
-    tx = run._build_tx(ms, response)
-    timeline.append((t, f"endorsed by peer-{ms}"))
-    t += transit_delay_us(link, profile.envelope_bytes)
-    timeline.append((t, "envelope received at sequencer-0"))
-    t += profile.orderer_per_envelope_us
-    t += transit_delay_us(link, profile.envelope_bytes)
-    envelope = Envelope(transaction=tx, received_at=t, size_bytes=profile.envelope_bytes)
-    result = run.cluster.submit(envelope)
-    if not result.accepted:
-        timeline.append((t, "ordering cluster unavailable: request failed"))
-        return timeline, run
-    timeline.append((t, "appended to the replicated log"))
-    t += config.batch.batch_timeout_us
-    batch = run.cluster.cut_batch(t)
-    block = seal_block(batch, run.chain.tip, run.sealer_key)
-    run.chain.append_block(block)
-    flags = apply_block(run.state, block, run.policy)
-    timeline.append((t, f"batch timeout: block {block.number} sealed ({len(batch)} tx)"))
-    block_bytes = profile.block_base_bytes + profile.envelope_bytes * len(batch)
-    t += transit_delay_us(link, block_bytes)
-    timeline.append((t, "block delivered to all 27 peers"))
-    t += profile.commit_per_tx_us * len(batch)
-    status = "valid" if flags[0].valid else f"invalid ({flags[0].reason})"
-    timeline.append((t, f"committed at peer-{ms}: transaction {status}"))
-    t += transit_delay_us(link, profile.endorsement_bytes)
-    timeline.append((t, f"acknowledgment received by client-{ms}"))
-    return timeline, run
-
-
-def single_verify_timeline(cert_hash: CertificateHash, ms: str, config: ScenarioConfig,
-                           anchored: bool = True):
-    """Verify one certificate hash on a fresh world, optionally pre-anchoring it."""
-    run = _single_world(config)
-    profile, link = config.service_profile, config.link
-    from .chaincode import verify_certificate
-    from .netsim import transit_delay_us
-
-    if anchored:
-        ctx = ChaincodeContext(caller=ms, state=run.state)
-        response = register_certificate(ctx, cert_hash, run.center_dids[ms])
-        run._commit_setup_block([run._build_tx(ms, response)])
-    t = 0
-    timeline = [(t, f"verification request submitted by client-{ms}")]
-    t += transit_delay_us(link, profile.query_bytes)
-    timeline.append((t, f"query received at peer-{ms} (REST interface)"))
-    t += profile.rest_overhead_us
-    ctx = ChaincodeContext(caller=ms, state=run.state, query_mode=config.query_mode)
-    result = verify_certificate(ctx, cert_hash, issuer_ms=ms)
-    t += round(profile.query_per_record_us * max(1, result.scan_count))
-    outcome = "found" if result.found else "not found"
-    timeline.append(
-        (t, f"content query done: record {outcome} (scanned {result.scan_count} entries)")
-    )
-    t += transit_delay_us(link, profile.response_bytes)
-    timeline.append((t, f"response received by client-{ms}"))
-    return timeline, result

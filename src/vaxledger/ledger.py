@@ -274,13 +274,12 @@ class WorldState:
     """Versioned key-value store; insertion order defines scan order.
 
     Overwritten keys keep their original scan position, so "the last record"
-    is well defined for the worst-case content query. A generation counter
-    backs a cached value snapshot used by repeated scans over unchanged state.
+    is well defined for the worst-case content query. A cached value snapshot
+    serves repeated scans over unchanged state until the next write.
     """
 
     def __init__(self):
         self._entries: dict[str, StateEntry] = {}
-        self._generation = 0
         self._scan_cache: tuple | None = None
 
     def __len__(self) -> int:
@@ -304,7 +303,6 @@ class WorldState:
             existing.version = version
         else:
             self._entries[key] = StateEntry(value=value, version=version)
-        self._generation += 1
         self._scan_cache = None
 
     def entries_in_order(self) -> tuple:

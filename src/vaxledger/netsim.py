@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
-    "MESSAGE_KINDS",
     "LinkParams",
     "Topology",
     "build_topology",
@@ -32,17 +31,6 @@ __all__ = [
     "TraceWriter",
     "MessageLayer",
 ]
-
-MESSAGE_KINDS = (
-    "proposal",
-    "endorsement",
-    "envelope",
-    "block",
-    "query",
-    "response",
-    "heartbeat",
-)
-
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -121,14 +109,8 @@ class EventQueue:
         heapq.heappush(self._heap, (at, self._seq, callback))
         self._seq += 1
 
-    def schedule_after(self, delay: int, callback) -> None:
-        self.schedule(self.clock + delay, callback)
-
     def __len__(self) -> int:
         return len(self._heap)
-
-    def next_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
 
     def run_until(self, t_end: int) -> int:
         """Process all events with time <= t_end; clock lands on t_end."""
@@ -186,10 +168,6 @@ class ServiceStation:
             clipped = max(0, min(finish, self.window_us) - min(start, self.window_us))
             self.busy_us += clipped
         return finish
-
-    def backlog_us(self, now: int) -> int:
-        """Total outstanding booked time beyond `now`, summed over workers."""
-        return sum(max(0, t - now) for t in self.free_at)
 
     def busy_fraction(self, duration_us: int) -> float:
         if duration_us <= 0:

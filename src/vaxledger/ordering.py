@@ -59,10 +59,6 @@ class Envelope:
 class SubmitResult:
     accepted: bool
 
-    @property
-    def unavailable(self) -> bool:
-        return not self.accepted
-
 
 class OrderingCluster:
     """Replicated sequencing service with per-role instance health."""
@@ -103,10 +99,6 @@ class OrderingCluster:
         self._seen_tx_ids.add(tx_id)
         self.log.append(envelope)
         return SubmitResult(accepted=True)
-
-    @property
-    def pending(self) -> list[Envelope]:
-        return self.log[self._cursor :]
 
     def pending_count(self) -> int:
         return len(self.log) - self._cursor

@@ -227,6 +227,14 @@ class TestScenarioBehavior:
         active = [s for s in run.query_stations.values() if s.jobs > 0]
         assert len(active) == 27
 
+    def test_exact_lookup_verify_level_charges_one_record(self):
+        config = default_verify_config(
+            duration_seconds=2, preloaded_records=50, query_mode="exact_lookup"
+        )
+        metrics, _ = run_level(config, 5)
+        assert metrics.scan_count == 1
+        assert metrics.error_count == 0
+
     def test_busy_fractions_reported(self, small_register_report):
         busy = small_register_report.levels[0].busy_fractions
         assert set(busy) == {"endorse", "commit", "query", "orderer"}

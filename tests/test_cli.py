@@ -6,7 +6,20 @@ import pytest
 from click.testing import CliRunner
 
 from vaxledger.cli import main
+from vaxledger.engine import run_level
 from vaxledger.scenario import config_to_dict, default_register_config
+
+REGISTER_TIMELINE = [
+    "    0.00 ms  request submitted by client-DE",
+    "    3.02 ms  proposal received at peer-DE (REST interface)",
+    "   16.02 ms  endorsed by peer-DE",
+    "   19.08 ms  envelope received at sequencer-0",
+    "   24.94 ms  appended to the replicated log",
+    "   64.94 ms  batch timeout: block 1 sealed (1 tx)",
+    "   68.00 ms  block delivered to all 27 peers",
+    "   92.00 ms  committed at peer-DE: transaction valid",
+    "   95.01 ms  acknowledgment received by client-DE",
+]
 
 
 @pytest.fixture
@@ -58,14 +71,27 @@ class TestRegisterVerify:
     def test_register_timeline(self, fixture_path, runner):
         result = runner.invoke(main, ["register", str(fixture_path)])
         assert result.exit_code == 0, result.output
-        assert "sealed" in result.output
-        assert "acknowledgment received" in result.output
-        assert "response time" in result.output
+        lines = result.output.splitlines()
+        assert lines[1:-1] == REGISTER_TIMELINE
+        assert lines[-1] == "response time: 95.01 ms"
+
+    def test_register_matches_engine_level(self, fixture_path, runner):
+        """The CLI request is the engine's register flow: same response time
+        as a one-request level."""
+        result = runner.invoke(main, ["register", str(fixture_path)])
+        metrics, _ = run_level(default_register_config(duration_seconds=1), 1)
+        assert metrics.requests == 1
+        assert result.output.splitlines()[-1] == (
+            f"response time: {metrics.mean_response_ms:.2f} ms"
+        )
 
     def test_verify_found_and_accepted(self, fixture_path, runner):
         result = runner.invoke(main, ["verify", str(fixture_path)])
         assert result.exit_code == 0, result.output
-        assert "record found" in result.output
+        # Default verify preload: 4700 records, 60 level-1 targets, 27
+        # centers and the user's own anchor.
+        assert "record found (scanned 4788 entries)" in result.output
+        assert "   90.65 ms  response received by client-DE" in result.output
         assert "credential signature/validity: accepted" in result.output
         assert "anchor found on ledger" in result.output
 

@@ -4,17 +4,23 @@ One `LevelRun` owns a fresh world per offered-TPS level: 27 peers and their
 shared replicated ledger, the ordering cluster, per-role service stations, and
 ambient gossip/keepalive traffic. Registration follows
 client -> peer (REST, endorse) -> ordering (sequence, batch, seal) ->
-block fan-out -> per-peer commit -> client ack; verification follows
-client -> peer (REST, content query) -> client response.
+block fan-out -> commit -> client ack; verification follows
+client -> peer (REST, content query) -> client response. Every started
+request gets one response; a rejected one gets an error response.
+
+Only what can move a latency is an event. Heartbeats enter no station: their
+bytes go straight into the meter, and one tick per keepalive interval reads
+the lead coordinator. The REST hop is an offset on the peer station's enqueue.
 
 Each flow has one implementation, `start_register` or `start_verify`, which
 starts one request: `execute` calls it per arrival, the CLI once on a
 preloaded world, reading the request's milestones from the message trace.
 
-The canonical chain and world state are applied once, at seal time; per-peer
-commit stations model commit timing only. This keeps a single authoritative
+The canonical chain and world state are applied once, at seal time; the
+commit station models commit timing only. This keeps a single authoritative
 replay (the total order every peer receives) without 27 redundant state
-copies.
+copies. One commit station serves all 27 peers exactly: each block reaches
+every peer at one instant and costs each the same, so their timelines agree.
 
 Query cost is charged per request as query_per_record_us times the records
 `verify_certificate` reads in the configured query mode (every entry for the
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 from .chaincode import (
     ChaincodeContext,
+    ChaincodeError,
     MedicalCenterRecord,
     register_certificate,
     register_medical_center,
@@ -128,9 +135,7 @@ class LevelRun:
         self.endorse_stations = {
             ms: ServiceStation(f"endorse-{ms}", window_us=window) for ms in EU_MEMBER_STATES
         }
-        self.commit_stations = {
-            ms: ServiceStation(f"commit-{ms}", window_us=window) for ms in EU_MEMBER_STATES
-        }
+        self.commit_station = ServiceStation("commit", window_us=window)
         self.query_stations = {
             ms: ServiceStation(f"query-{ms}", workers=self.profile.query_workers, window_us=window)
             for ms in EU_MEMBER_STATES
@@ -243,49 +248,28 @@ class LevelRun:
     # ambient traffic
 
     def _schedule_ambient(self) -> None:
+        """Meter ring gossip between peers; keepalives go at each tick."""
         gossip_step = self.profile.gossip_interval_ms * 1000
+        peers = self.topology.peers
+        for at in range(gossip_step, self.duration_us + 1, gossip_step):
+            for src, dst in zip(peers, peers[1:] + peers[:1]):
+                self.net.book(src, dst, self.profile.gossip_bytes, at)
         keepalive_step = self.profile.keepalive_interval_ms * 1000
-        peers = list(EU_MEMBER_STATES)
-
-        def gossip_tick(at):
-            def fire():
-                for i, ms in enumerate(peers):
-                    neighbor = peers[(i + 1) % len(peers)]
-                    self.net.send(
-                        _peer_host(ms), _peer_host(neighbor),
-                        self.profile.gossip_bytes, "heartbeat", lambda: None,
-                    )
-                nxt = at + gossip_step
-                if nxt <= self.duration_us:
-                    gossip_tick(nxt)
-
-            self.queue.schedule(at, fire)
-
-        def keepalive_tick(at):
-            def fire():
-                coordinator = self.cluster.lead_instance("coordinator")
-                if coordinator is not None:
-                    host = f"coordinator-{coordinator}"
-                    for ms in peers:
-                        peer = _peer_host(ms)
-
-                        def pong(peer=peer, host=host):
-                            self.net.send(
-                                host, peer, self.profile.keepalive_bytes, "heartbeat",
-                                lambda: None,
-                            )
-
-                        self.net.send(peer, host, self.profile.keepalive_bytes, "heartbeat", pong)
-                nxt = at + keepalive_step
-                if nxt <= self.duration_us:
-                    keepalive_tick(nxt)
-
-            self.queue.schedule(at, fire)
-
-        if gossip_step <= self.duration_us:
-            gossip_tick(gossip_step)
         if keepalive_step <= self.duration_us:
-            keepalive_tick(keepalive_step)
+            self.queue.schedule(keepalive_step, self._keepalive_tick)
+
+    def _keepalive_tick(self) -> None:
+        """Each peer pings the lead coordinator, read now, which answers on arrival."""
+        now = self.queue.clock
+        coordinator = self.cluster.lead_instance("coordinator")
+        if coordinator is not None:
+            host = f"coordinator-{coordinator}"
+            size = self.profile.keepalive_bytes
+            for peer in self.topology.peers:
+                self.net.book(host, peer, size, self.net.book(peer, host, size, now))
+        nxt = now + self.profile.keepalive_interval_ms * 1000
+        if nxt <= self.duration_us:
+            self.queue.schedule(nxt, self._keepalive_tick)
 
     def _schedule_faults(self) -> None:
         for at_s, role, index, status in self.config.fault_schedule:
@@ -313,7 +297,11 @@ class LevelRun:
         peer = _peer_host(ms)
 
         def endorsed():
-            tx = self._register_tx(ms, cert)
+            try:
+                tx = self._register_tx(ms, cert)
+            except ChaincodeError:
+                self._fail_request(ms)
+                return
             if not self.cluster.available:
                 self._fail_request(ms)
                 return
@@ -332,12 +320,11 @@ class LevelRun:
         self.net.send(_client_host(ms), peer, self.profile.proposal_bytes, "proposal", at_peer)
 
     def _at_peer(self, station: ServiceStation, service_us: int, then):
-        """A request's delivery at its peer: REST overhead, `station` service, `then()`."""
+        """A request's delivery at its peer: REST overhead, `station` service, `then()`.
+        Every enqueue on a peer station carries the same offset, so its order holds."""
         def arrived():
-            def after_rest():
-                self.queue.schedule(station.enqueue(self.queue.clock, service_us), then)
-
-            self.queue.schedule(self.queue.clock + self.profile.rest_overhead_us, after_rest)
+            at = self.queue.clock + self.profile.rest_overhead_us
+            self.queue.schedule(station.enqueue(at, service_us), then)
 
         return arrived
 
@@ -370,12 +357,7 @@ class LevelRun:
 
     def _fail_request(self, ms: str) -> None:
         self.errors += 1
-        peer = _peer_host(ms)
-
-        def done():
-            self.completed += 1
-
-        self.net.send(peer, _client_host(ms), self.profile.endorsement_bytes, "response", done)
+        self._respond(ms, self.profile.endorsement_bytes, None)
 
     def _try_cut(self) -> None:
         if not self.cluster.available:
@@ -402,43 +384,43 @@ class LevelRun:
         self.queue.schedule(fire_at, fire)
 
     def _seal_and_fanout(self, batch: list) -> None:
+        """Seal and fan out `batch`; on commit, ack each valid transaction's
+        client and send an error response for each invalid one."""
         block, flags = self._seal(batch)
-        valid_ids = set()
+        answers = {ms: [] for ms in EU_MEMBER_STATES}
         for tx, flag in zip(block.transactions, flags):
             if flag.valid:
                 self.committed += 1
-                valid_ids.add(tx.tx_id)
             else:
                 self.invalid_txs += 1
-                self.errors += 1
+            ms, arrived_at = self._pending_acks.pop(tx.tx_id)
+            answers[ms].append((arrived_at, flag.valid))
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
         sequencer = self.cluster.lead_instance("sequencer")
         seq_host = f"sequencer-{sequencer if sequencer is not None else 0}"
-        acks_by_ms: dict = {}
-        for tx in block.transactions:
-            entry = self._pending_acks.pop(tx.tx_id, None)
-            if entry is not None and tx.tx_id in valid_ids:
-                acks_by_ms.setdefault(entry[0], []).append(entry[1])
         commit_service = self.profile.commit_per_tx_us * len(batch)
-        for ms in EU_MEMBER_STATES:
-            acks = acks_by_ms.get(ms, ())
 
-            def delivered(ms=ms, acks=acks):
-                finish = self.commit_stations[ms].enqueue(self.queue.clock, commit_service)
+        def delivered():
+            finish = self.commit_station.enqueue(self.queue.clock, commit_service)
+            self.queue.schedule(finish, committed)
 
-                def committed():
-                    for arrived_at in acks:
+        def committed():
+            for ms, entries in answers.items():
+                for arrived_at, valid in entries:
+                    if valid:
                         self._respond(ms, self.profile.endorsement_bytes, arrived_at)
+                    else:
+                        self._fail_request(ms)
 
-                self.queue.schedule(finish, committed)
+        self.net.send(seq_host, self.topology.peers, block_bytes, "block", delivered)
 
-            self.net.send(seq_host, _peer_host(ms), block_bytes, "block", delivered)
-
-    def _respond(self, ms: str, size: int, arrived_at: int) -> None:
-        """Peer `ms` answers its client; the response time ends on delivery."""
+    def _respond(self, ms: str, size: int, arrived_at: int | None) -> None:
+        """Peer `ms` answers its client. A request that arrived at `arrived_at`
+        has its response time end on delivery; a failed one (None) has none."""
         def done():
             self.completed += 1
-            self.responses_us.append(self.queue.clock - arrived_at)
+            if arrived_at is not None:
+                self.responses_us.append(self.queue.clock - arrived_at)
 
         self.net.send(_peer_host(ms), _client_host(ms), size, "response", done)
 
@@ -517,9 +499,7 @@ class LevelRun:
             "endorse": max(
                 s.busy_fraction(self.duration_us) for s in self.endorse_stations.values()
             ),
-            "commit": max(
-                s.busy_fraction(self.duration_us) for s in self.commit_stations.values()
-            ),
+            "commit": self.commit_station.busy_fraction(self.duration_us),
             "query": max(
                 s.busy_fraction(self.duration_us) for s in self.query_stations.values()
             ),

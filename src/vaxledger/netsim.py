@@ -252,20 +252,34 @@ class MessageLayer:
         self.meter = meter
         self.tracer = tracer
 
-    def send(self, src: str, dst: str, size: int, kind: str, on_delivery) -> int:
-        """Dispatch one message now; returns the delivery time."""
+    def send(self, src: str, dst, size: int, kind: str, on_delivery) -> int:
+        """Dispatch one message now to `dst`, a host or a tuple of hosts each
+        metered and traced; one event delivers, running `on_delivery()` once.
+        Returns the delivery time."""
+        dsts = (dst,) if isinstance(dst, str) else dst
         now = self.queue.clock
         wire_size = size + self.link.tls_overhead_bytes
-        self.meter.on_send(src, wire_size, now)
-        if self.tracer is not None:
-            self.tracer.record(now, f"send:{kind}", src, wire_size)
+        for _ in dsts:
+            self.meter.on_send(src, wire_size, now)
+            if self.tracer is not None:
+                self.tracer.record(now, f"send:{kind}", src, wire_size)
         delivery = now + transit_delay_us(self.link, size)
 
         def deliver():
-            self.meter.on_receive(dst, wire_size, self.queue.clock)
-            if self.tracer is not None:
-                self.tracer.record(self.queue.clock, f"recv:{kind}", dst, wire_size)
+            for host in dsts:
+                self.meter.on_receive(host, wire_size, delivery)
+                if self.tracer is not None:
+                    self.tracer.record(delivery, f"recv:{kind}", host, wire_size)
             on_delivery()
 
         self.queue.schedule(delivery, deliver)
+        return delivery
+
+    def book(self, src: str, dst: str, size: int, at: int) -> int:
+        """Meter, without event or trace, a message sent at `at` whose delivery
+        triggers nothing; returns the delivery time."""
+        wire_size = size + self.link.tls_overhead_bytes
+        delivery = at + transit_delay_us(self.link, size)
+        self.meter.on_send(src, wire_size, at)
+        self.meter.on_receive(dst, wire_size, delivery)
         return delivery

@@ -284,6 +284,21 @@ def test_criterion_09_worst_case_query_cost():
     print("ACCEPTANCE 9: PASS — scan_count equals N for N in {10, 1000, 10000} with newest match")
 
 
+# SHA-256 of report_to_csv_text for the default sweeps. With uniform arrivals
+# the CSVs do not depend on the seed.
+DEFAULT_CSV_SHA256 = {
+    "register": "94302b6565ebaa82bb695c07fd922def3b0d491aedf43563427260a964089494",
+    "verify": "e5c533d3daccdf8ee96326cdad339209d9e4cd171af8dfa1d37d33f6f9a01e01",
+}
+
+
+def test_default_sweep_csv_bytes_pinned(default_sweeps):
+    outputs, _ = default_sweeps
+    for name, digest in DEFAULT_CSV_SHA256.items():
+        assert hashlib.sha256(outputs[f"{name}.csv"]).hexdigest() == digest, name
+    print("CSV DIGESTS: PASS — default register and verify CSVs match their pinned SHA-256")
+
+
 def test_criterion_10_determinism(default_sweeps, tmp_path):
     first_outputs, _ = default_sweeps
     second_outputs, _ = run_default(seed=42, tmp_path=tmp_path)

@@ -17,7 +17,9 @@ from vaxledger.calibrate import (
     calibrate,
     load_targets,
 )
-from vaxledger.engine import run_level
+from vaxledger.chaincode import AlreadyRegisteredError
+from vaxledger.credential import CertificateHash
+from vaxledger.engine import LevelRun, run_level
 from vaxledger.netsim import LinkParams, transit_delay_us
 from vaxledger.ordering import BatchConfig
 from vaxledger.scenario import (
@@ -32,6 +34,7 @@ from vaxledger.scenario import (
     default_verify_config,
     load_config,
 )
+from vaxledger.workload import generate_arrivals
 
 
 class TestConfigSchema:
@@ -234,6 +237,32 @@ class TestScenarioBehavior:
         metrics, _ = run_level(config, 5)
         assert metrics.scan_count == 1
         assert metrics.error_count == 0
+
+    @pytest.mark.parametrize("gap_us", [1_000, 500_000])
+    def test_duplicate_registration_gets_one_error_response(self, gap_us):
+        """1 ms apart, the second transaction fails MVCC validation at commit;
+        0.5 s apart, the certificate is committed and the chaincode refuses
+        it at endorsement. Either way each request is answered exactly once."""
+        config = default_register_config(duration_seconds=1)
+        run = LevelRun(config, 1)
+        run.preload(generate_arrivals(1, 1, config.arrival_mode, config.seed))
+        cert = CertificateHash(b"\x5a" * 32)
+        run.queue.schedule(0, lambda: run.start_register(cert, "DE", 0))
+        run.queue.schedule(gap_us, lambda: run.start_register(cert, "DE", gap_us))
+        run.queue.drain()
+        assert run.started == run.completed == 2
+        assert run.errors == 1
+        assert len(run.responses_us) == 1
+        assert run.invalid_txs == (1 if gap_us == 1_000 else 0)
+
+    def test_setup_still_raises_on_duplicate(self):
+        config = default_register_config(duration_seconds=1)
+        run = LevelRun(config, 1)
+        run.preload(generate_arrivals(1, 1, config.arrival_mode, config.seed))
+        cert = CertificateHash(b"\x5b" * 32)
+        run.anchor("DE", cert)
+        with pytest.raises(AlreadyRegisteredError):
+            run.anchor("DE", cert)
 
     def test_busy_fractions_reported(self, small_register_report):
         busy = small_register_report.levels[0].busy_fractions

@@ -170,14 +170,45 @@ class TestEngineNetProperties:
         traces = []
         for _ in range(2):
             buf = io.StringIO()
-            run_level(
+            metrics, _ = run_level(
                 default_verify_config(duration_seconds=3, preloaded_records=50),
                 8,
                 tracer=TraceWriter(buf),
             )
             traces.append(buf.getvalue())
         assert traces[0] == traces[1]
-        assert traces[0].count("\n") > 100
+        # query send/recv and response send/recv per request; heartbeats are
+        # metered without trace records
+        assert traces[0].count("\n") == 4 * metrics.requests
+        assert "heartbeat" not in traces[0]
+
+    def test_keepalive_bytes_follow_coordinator_faults(self):
+        """The lead coordinator hands over as coordinators fail, and no
+        keepalive flows while all three are down (2.5 s to 3 s)."""
+        from vaxledger.engine import run_level
+        from vaxledger.scenario import default_register_config
+
+        faults = (
+            (1, "coordinator", 0, "down"),
+            (2, "coordinator", 1, "down"),
+            (2.5, "coordinator", 2, "down"),
+            (3, "coordinator", 0, "up"),
+            (4, "coordinator", 1, "up"),
+        )
+        metrics, run = run_level(
+            default_register_config(duration_seconds=5, fault_schedule=faults), 4
+        )
+        expected_kb = {
+            "coordinator-0": 3267.0,
+            "coordinator-1": 1188.0,
+            "coordinator-2": 594.0,
+            "peer-DE": 1526.16,
+        }
+        for host, kb in expected_kb.items():
+            assert run.meter.host_kb(host) == pytest.approx(kb, abs=1e-9)
+        assert metrics.peer_bandwidth_kb == pytest.approx(306.644, abs=1e-9)
+        assert metrics.ordering_bandwidth_kb == pytest.approx(1491.204, abs=1e-9)
+        assert metrics.error_count == 8
 
     def test_causality_no_early_delivery(self):
         """Every recv in the trace happens at least link latency after a

@@ -216,7 +216,7 @@ def verify(credential_file, ms, now, unanchored):
         run.start_verify((ms, anchor.hex), ms, 0)
 
     run, marks = _run_one_request(default_verify_config(), start)
-    found = run.errors == 0
+    found = run.not_found == 0
     click.echo(f"verifying anchor {anchor.hex} via {ms}")
     _echo_timeline(
         marks, _VERIFY_LABELS, found="found" if found else "not found", scanned=run.scan_count()

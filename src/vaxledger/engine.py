@@ -8,9 +8,12 @@ block fan-out -> commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response. Every started
 request gets one response; a rejected one gets an error response.
 
-Only what can move a latency is an event. Heartbeats enter no station: their
-bytes go straight into the meter, and one tick per keepalive interval reads
-the lead coordinator. The REST hop is an offset on the peer station's enqueue.
+The event queue holds only request-flow events, batch timers and faults.
+Heartbeats enter no station, so their bytes go straight into the meter:
+gossip when the level is scheduled, keepalives between faults, each tick
+booked to the lead coordinator in force at its instant. The REST hop is an
+offset on the peer station's enqueue. A level is saturated if any request
+failed or any station was offered at least its capacity, λ·S/c ≥ 1.
 
 Each flow has one implementation, `start_register` or `start_verify`, which
 starts one request: `execute` calls it per arrival, the CLI once on a
@@ -151,7 +154,8 @@ class LevelRun:
         self.invalid_txs = 0
         self.started = 0
         self.completed = 0
-        self.inflight_samples: list = []
+        self.not_found = 0
+        self._keepalive_at = self.profile.keepalive_interval_ms * 1000
         self._timer_armed_at: int | None = None
         self._broker_rr = 0
         self._tx_counter = 0
@@ -247,46 +251,36 @@ class LevelRun:
     # ------------------------------------------------------------------
     # ambient traffic
 
-    def _schedule_ambient(self) -> None:
-        """Meter ring gossip between peers; keepalives go at each tick."""
+    def _book_gossip(self) -> None:
+        """Meter ring gossip between peers over the whole level."""
         gossip_step = self.profile.gossip_interval_ms * 1000
         peers = self.topology.peers
         for at in range(gossip_step, self.duration_us + 1, gossip_step):
             for src, dst in zip(peers, peers[1:] + peers[:1]):
                 self.net.book(src, dst, self.profile.gossip_bytes, at)
-        keepalive_step = self.profile.keepalive_interval_ms * 1000
-        if keepalive_step <= self.duration_us:
-            self.queue.schedule(keepalive_step, self._keepalive_tick)
 
-    def _keepalive_tick(self) -> None:
-        """Each peer pings the lead coordinator, read now, which answers on arrival."""
-        now = self.queue.clock
-        coordinator = self.cluster.lead_instance("coordinator")
-        if coordinator is not None:
-            host = f"coordinator-{coordinator}"
-            size = self.profile.keepalive_bytes
-            for peer in self.topology.peers:
-                self.net.book(host, peer, size, self.net.book(peer, host, size, now))
-        nxt = now + self.profile.keepalive_interval_ms * 1000
-        if nxt <= self.duration_us:
-            self.queue.schedule(nxt, self._keepalive_tick)
+    def _book_keepalives(self, until: int) -> None:
+        """Meter the keepalive ticks not yet booked before `until` and within
+        the level: each peer pings the lead coordinator, read now, which
+        answers on arrival. A fault books up to its instant before it applies."""
+        lead = self.cluster.lead_instance("coordinator")
+        host, size = f"coordinator-{lead}", self.profile.keepalive_bytes
+        peers = self.topology.peers if lead is not None else ()
+        while self._keepalive_at < min(until, self.duration_us + 1):
+            for peer in peers:
+                self.net.book(host, peer, size, self.net.book(peer, host, size, self._keepalive_at))
+            self._keepalive_at += self.profile.keepalive_interval_ms * 1000
 
     def _schedule_faults(self) -> None:
         for at_s, role, index, status in self.config.fault_schedule:
             at_us = round(at_s * 1_000_000)
 
-            def fire(role=role, index=index, status=status):
+            def fire(at_us=at_us, role=role, index=index, status=status):
+                self._book_keepalives(at_us)
                 self.cluster.set_instance_status(role, index, status == "up")
                 self._try_cut()  # resume cutting after a recovery
 
             self.queue.schedule(at_us, fire)
-
-    def _schedule_sampler(self) -> None:
-        for second in range(1, self.config.duration_seconds + 1):
-            def sample():
-                self.inflight_samples.append(self.started - self.completed)
-
-            self.queue.schedule(second * 1_000_000, sample)
 
     # ------------------------------------------------------------------
     # register flow
@@ -446,7 +440,7 @@ class LevelRun:
 
         def query_done():
             if self.state.get(cert_key(record_ms, cert_hex)) is None:
-                self.errors += 1
+                self.not_found += 1
             self._respond(ms, self.profile.response_bytes, arrived_at)
 
         service = round(self.profile.query_per_record_us * self.scan_count())
@@ -473,10 +467,10 @@ class LevelRun:
                 ms = EU_MEMBER_STATES[0] if verify_single else EU_MEMBER_STATES[index % 27]
                 target = self.provisioned[index % len(self.provisioned)]
                 self.queue.schedule(at, lambda g=target, m=ms, t=at: self.start_verify(g, m, t))
-        self._schedule_ambient()
+        self._book_gossip()
         self._schedule_faults()
-        self._schedule_sampler()
         self.queue.run_until(self.duration_us)
+        self._book_keepalives(self.duration_us + 1)
         self.queue.drain()
         return self._metrics(len(schedule))
 
@@ -505,7 +499,12 @@ class LevelRun:
             ),
             "orderer": self.orderer_station.busy_fraction(self.duration_us),
         }
-        saturated = self.errors > 0 or self._backlog_grows()
+        # λ·S/c ≥ 1 at any station; every job comes from an arrival in (0, T].
+        stations = [*self.endorse_stations.values(), *self.query_stations.values()]
+        stations += [self.commit_station, self.orderer_station]
+        saturated = self.errors > 0 or any(
+            s.offered_us >= self.duration_us * len(s.free_at) for s in stations
+        )
         return LevelMetrics(
             tps=float(self.level),
             requests=requests,
@@ -524,19 +523,6 @@ class LevelRun:
             processed_events=self.queue.processed,
             request_events=self.started,
         )
-
-    def _backlog_grows(self) -> bool:
-        """Unbounded-queue heuristic: in-flight count over the run's second
-        half well above the steady level seen in the second quarter."""
-        samples = self.inflight_samples
-        if len(samples) < 8:
-            return False
-        quarter = len(samples) // 4
-        early = samples[quarter : 2 * quarter]
-        late = samples[3 * quarter :]
-        early_mean = sum(early) / len(early)
-        late_mean = sum(late) / len(late)
-        return late_mean > 2.0 * early_mean + 2.0
 
 
 def run_level(config: ScenarioConfig, level, tracer: TraceWriter | None = None):

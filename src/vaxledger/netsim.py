@@ -143,8 +143,9 @@ class ServiceStation:
 
     `enqueue` books the earliest-available worker and returns the completion
     time; busy time inside [0, window_us] accumulates for the utilization
-    report. Queue depth is sampled implicitly via busy bookkeeping on the
-    caller's side.
+    report, and every job's service time into `offered_us`, the offered load
+    a capacity check compares with window × workers. Queue depth is sampled
+    implicitly via busy bookkeeping on the caller's side.
     """
 
     def __init__(self, name: str, workers: int = 1, window_us: int | None = None):
@@ -155,6 +156,7 @@ class ServiceStation:
         self.busy_us = 0
         self.window_us = window_us
         self.jobs = 0
+        self.offered_us = 0
 
     def enqueue(self, now: int, service_us: int) -> int:
         worker = min(range(len(self.free_at)), key=lambda i: self.free_at[i])
@@ -162,6 +164,7 @@ class ServiceStation:
         finish = start + service_us
         self.free_at[worker] = finish
         self.jobs += 1
+        self.offered_us += service_us
         if self.window_us is None:
             self.busy_us += service_us
         else:

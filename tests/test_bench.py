@@ -264,6 +264,24 @@ class TestScenarioBehavior:
         with pytest.raises(AlreadyRegisteredError):
             run.anchor("DE", cert)
 
+    def test_unanchored_verification_is_an_answer_not_an_error(self):
+        config = default_verify_config()
+        run = LevelRun(config, 1)
+        run.preload(generate_arrivals(1, config.duration_seconds, config.arrival_mode, config.seed))
+        run.start_verify(("DE", CertificateHash(b"\x5c" * 32).hex), "DE", 0)
+        run.queue.drain()
+        assert run.started == run.completed == 1
+        assert run.errors == 0
+        assert run.not_found == 1
+        assert len(run.responses_us) == 1
+
+    @pytest.mark.parametrize("tps, saturated", [(190, False), (200, True)])
+    def test_short_verify_level_saturation(self, tps, saturated):
+        """The queried peer's pool load λ·S/c is 0.96 at 190 TPS and 1.02 at
+        200 TPS over 5 s; a short run is flagged as a long one would be."""
+        metrics, _ = run_level(default_verify_config(duration_seconds=5), tps)
+        assert metrics.saturated is saturated
+
     def test_busy_fractions_reported(self, small_register_report):
         busy = small_register_report.levels[0].busy_fractions
         assert set(busy) == {"endorse", "commit", "query", "orderer"}

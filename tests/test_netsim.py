@@ -181,6 +181,9 @@ class TestEngineNetProperties:
         # metered without trace records
         assert traces[0].count("\n") == 4 * metrics.requests
         assert "heartbeat" not in traces[0]
+        # arrival, query delivery, query completion, response delivery per
+        # request; keepalives and saturation schedule no events
+        assert metrics.processed_events == 4 * metrics.requests == 96
 
     def test_keepalive_bytes_follow_coordinator_faults(self):
         """The lead coordinator hands over as coordinators fail, and no
@@ -209,6 +212,22 @@ class TestEngineNetProperties:
         assert metrics.peer_bandwidth_kb == pytest.approx(306.644, abs=1e-9)
         assert metrics.ordering_bandwidth_kb == pytest.approx(1491.204, abs=1e-9)
         assert metrics.error_count == 8
+
+    @pytest.mark.parametrize(
+        "fault_at, kb0, kb1", [(0.25, 0.0, 891.0), (0.5, 297.0, 594.0)]
+    )
+    def test_fault_applies_before_keepalive_tick_at_its_instant(self, fault_at, kb0, kb1):
+        """Ticks are at 0.25, 0.5 and 0.75 s in window; a fault at a tick's
+        instant, the first one included, moves that tick's keepalives."""
+        from vaxledger.engine import run_level
+        from vaxledger.scenario import default_register_config
+
+        faults = ((fault_at, "coordinator", 0, "down"),)
+        _, run = run_level(
+            default_register_config(duration_seconds=1, fault_schedule=faults), 4
+        )
+        assert run.meter.host_kb("coordinator-0") == pytest.approx(kb0, abs=1e-9)
+        assert run.meter.host_kb("coordinator-1") == pytest.approx(kb1, abs=1e-9)
 
     def test_causality_no_early_delivery(self):
         """Every recv in the trace happens at least link latency after a

@@ -34,7 +34,7 @@ from .ledger import (
     validate_transaction,
 )
 from .ordering import BatchConfig, Envelope, OrderingCluster, seal_block
-from .netsim import EventQueue, LinkParams, Topology, transit_delay
+from .netsim import EventQueue, LinkParams, transit_delay
 from .workload import (
     display_tps,
     generate_arrivals,

@@ -19,10 +19,11 @@ ordering column is not comparable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .bench import run_scenario
 from .scenario import (
+    _STEPS,
     ScenarioConfig,
     ServiceTimeProfile,
     default_register_config,
@@ -106,21 +107,27 @@ def load_targets(path) -> list:
     peer_bandwidth_kb columns (extra columns are ignored)."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                TargetRow(
-                    step=record["step"].strip(),
-                    tps=float(record["tps"]),
-                    response_time_ms=float(record["response_time_ms"]),
-                    peer_bandwidth_kb=float(record["peer_bandwidth_kb"]),
-                )
-            )
+        reader = csv.DictReader(fh)
+        missing = [f.name for f in fields(TargetRow) if f.name not in (reader.fieldnames or ())]
+        if missing:
+            raise CalibrationError(f"targets CSV lacks column(s): {', '.join(missing)}")
+        for r in reader:
+            if None in r.values():
+                raise CalibrationError(f"targets CSV line {reader.line_num} lacks a value")
+            rows.append(TargetRow(r["step"].strip(), float(r["tps"]),
+                                  float(r["response_time_ms"]), float(r["peer_bandwidth_kb"])))
     return rows
 
 
 def _check_targets(targets) -> None:
+    """Reject unusable targets before any simulation runs."""
     if not targets:
         raise CalibrationError("no calibration targets provided")
+    for t in targets:
+        if t.step not in _STEPS:
+            raise CalibrationError(f"target step must be one of {_STEPS}, got {t.step!r}")
+        if min(t.tps, t.response_time_ms, t.peer_bandwidth_kb) <= 0:
+            raise CalibrationError(f"{t.step}@{t.tps:g}: tps and targets must be positive")
     have = {(t.step, t.tps) for t in targets}
     required = {("register", 1.0), ("register", 28.0), ("verify", 1.0), ("verify", 100.0)}
     missing = required - have
@@ -132,33 +139,17 @@ def _residuals(profile, targets, register_config, verify_config):
     by_step = {}
     for step, base in (("register", register_config), ("verify", verify_config)):
         levels = tuple(sorted({t.tps for t in targets if t.step == step}))
-        if not levels:
-            continue
         config = replace(base, tps_levels=levels, service_profile=profile)
         by_step[step] = run_scenario(config)
     residuals = []
     instability = 0.0
     for target in targets:
-        report = by_step.get(target.step)
-        metrics = report.level(target.tps)
-        residuals.append(
-            Residual(
-                step=target.step,
-                tps=target.tps,
-                kind="response",
-                target=target.response_time_ms,
-                simulated=metrics.mean_response_ms,
-            )
-        )
-        residuals.append(
-            Residual(
-                step=target.step,
-                tps=target.tps,
-                kind="peer_bandwidth",
-                target=target.peer_bandwidth_kb,
-                simulated=metrics.peer_bandwidth_kb,
-            )
-        )
+        metrics = by_step[target.step].level(target.tps)
+        for kind, wanted, simulated in (
+            ("response", target.response_time_ms, metrics.mean_response_ms),
+            ("peer_bandwidth", target.peer_bandwidth_kb, metrics.peer_bandwidth_kb),
+        ):
+            residuals.append(Residual(target.step, target.tps, kind, wanted, simulated))
         if metrics.saturated or metrics.error_count:
             instability += 2.0
         busiest = max(metrics.busy_fractions.values())
@@ -167,12 +158,14 @@ def _residuals(profile, targets, register_config, verify_config):
     return residuals, instability
 
 
+def _mre(residuals, kind: str) -> float:
+    """Mean relative error of the residuals of one kind (0.0 if there are none)."""
+    errors = [r.relative_error for r in residuals if r.kind == kind]
+    return sum(errors) / len(errors) if errors else 0.0
+
+
 def _objective(residuals) -> float:
-    response = [r.relative_error for r in residuals if r.kind == "response"]
-    bandwidth = [r.relative_error for r in residuals if r.kind == "peer_bandwidth"]
-    value = sum(response) / len(response)
-    if bandwidth:
-        value += 0.5 * sum(bandwidth) / len(bandwidth)
+    value = _mre(residuals, "response") + 0.5 * _mre(residuals, "peer_bandwidth")
     for r in residuals:
         band = RESPONSE_BAND if r.kind == "response" else BANDWIDTH_BAND
         overshoot = r.relative_error - band
@@ -243,10 +236,7 @@ def calibrate(
         if not improved:
             break
 
-    response = [r.relative_error for r in best_residuals if r.kind == "response"]
-    bandwidth = [r.relative_error for r in best_residuals if r.kind == "peer_bandwidth"]
-    response_mre = sum(response) / len(response)
-    bandwidth_mre = sum(bandwidth) / len(bandwidth) if bandwidth else 0.0
+    response_mre = _mre(best_residuals, "response")
     if response_mre > fail_threshold:
         raise CalibrationError(
             f"calibration failed: mean relative response error {response_mre:.3f} "
@@ -257,7 +247,7 @@ def calibrate(
         profile=best_profile,
         residuals=tuple(best_residuals),
         response_mre=response_mre,
-        bandwidth_mre=bandwidth_mre,
+        bandwidth_mre=_mre(best_residuals, "peer_bandwidth"),
         rounds=rounds,
         evaluations=evaluations,
     )

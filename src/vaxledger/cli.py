@@ -23,7 +23,6 @@ from .ledger import EU_MEMBER_STATES
 from .scenario import (
     ConfigError,
     DEFAULT_PROFILE,
-    ServiceTimeProfile,
     default_register_config,
     default_verify_config,
     load_config,

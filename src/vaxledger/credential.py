@@ -359,18 +359,15 @@ def verify_credential(
 ) -> VerificationOutcome:
     """Check signature, then expiration, then dose completeness, in that order.
 
-    `issuer_keys` maps issuer DID text to (scheme_id, public_key) pairs or bare
-    public-key bytes (bare bytes imply Ed25519). Expiration is exclusive: a
-    credential is valid only while now < expiration_date. Acceptance requires a
-    completed course (dose_number == total_doses).
+    `issuer_keys` maps issuer DID text to (scheme_id, public_key) pairs.
+    Expiration is exclusive: a credential is valid only while
+    now < expiration_date. Acceptance requires a completed course
+    (dose_number == total_doses).
     """
     entry = issuer_keys.get(credential.issuer.text)
     if entry is None:
         return VerificationOutcome.rejected("unknown-issuer")
-    if isinstance(entry, tuple):
-        scheme_id, public_key = entry
-    else:
-        scheme_id, public_key = ED25519, entry
+    scheme_id, public_key = entry
     if credential.proof is None:
         return VerificationOutcome.rejected("signature")
     if credential.proof.scheme_id != scheme_id or not verify_payload(
@@ -410,28 +407,36 @@ def credential_to_dict(credential: VaccinationCredential) -> dict:
 
 
 def credential_from_dict(doc: dict) -> VaccinationCredential:
+    """Parse a fixture document; a malformed one raises CredentialError."""
+    if not isinstance(doc, dict):
+        raise CredentialError("credential fixture must be a JSON object")
     if doc.get("format") != FIXTURE_FORMAT:
         raise CredentialError(f"unsupported credential format: {doc.get('format')!r}")
-    proof = None
-    if "proof" in doc:
-        p = doc["proof"]
-        proof = Proof(
-            scheme_id=p["scheme_id"],
-            verification_method=DecentralizedIdentifier.parse(p["verification_method"]),
-            signature=bytes.fromhex(p["signature"]),
+    try:
+        proof = None
+        if "proof" in doc:
+            p = doc["proof"]
+            proof = Proof(
+                scheme_id=p["scheme_id"],
+                verification_method=DecentralizedIdentifier.parse(p["verification_method"]),
+                signature=bytes.fromhex(p["signature"]),
+            )
+        return VaccinationCredential(
+            context=doc["context"],
+            issuer=DecentralizedIdentifier.parse(doc["issuer"]),
+            subject=DecentralizedIdentifier.parse(doc["subject"]),
+            vaccine_product=doc["vaccine_product"],
+            dose_number=int(doc["dose_number"]),
+            total_doses=int(doc["total_doses"]),
+            batch_id=doc["batch_id"],
+            issuance_date=int(doc["issuance_date"]),
+            expiration_date=int(doc["expiration_date"]),
+            proof=proof,
         )
-    return VaccinationCredential(
-        context=doc["context"],
-        issuer=DecentralizedIdentifier.parse(doc["issuer"]),
-        subject=DecentralizedIdentifier.parse(doc["subject"]),
-        vaccine_product=doc["vaccine_product"],
-        dose_number=int(doc["dose_number"]),
-        total_doses=int(doc["total_doses"]),
-        batch_id=doc["batch_id"],
-        issuance_date=int(doc["issuance_date"]),
-        expiration_date=int(doc["expiration_date"]),
-        proof=proof,
-    )
+    except KeyError as exc:
+        raise CredentialError(f"credential fixture lacks field {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise CredentialError(f"malformed credential fixture: {exc}") from exc
 
 
 def save_credential(credential: VaccinationCredential, path) -> None:

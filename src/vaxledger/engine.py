@@ -63,13 +63,17 @@ from .netsim import (
     MessageLayer,
     ServiceStation,
     TraceWriter,
-    build_topology,
 )
-from .ordering import BatchConfig, Envelope, OrderingCluster, seal_block
+from .ordering import ROLE_SIZES, ROLES, Envelope, OrderingCluster, seal_block
 from .scenario import ScenarioConfig
 from .workload import ArrivalSchedule, generate_arrivals
 
-__all__ = ["LevelMetrics", "LevelRun", "run_level", "build_ms_keys"]
+__all__ = ["PEER_HOSTS", "ORDERING_HOSTS", "LevelMetrics", "LevelRun", "run_level", "build_ms_keys"]
+
+# The deployment: one peer per member state, and the ordering cluster's
+# instances in ROLES order (the ordering-bandwidth sum runs in this order).
+PEER_HOSTS = tuple(f"peer-{ms}" for ms in EU_MEMBER_STATES)
+ORDERING_HOSTS = tuple(f"{role}-{i}" for role in ROLES for i in range(ROLE_SIZES[role]))
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,6 @@ class LevelRun:
         self.duration_us = config.duration_seconds * 1_000_000
         self.queue = EventQueue()
         self.meter = BandwidthMeter(window_us=self.duration_us)
-        self.topology = build_topology(EU_MEMBER_STATES, config.link)
         self.net = MessageLayer(self.queue, config.link, self.meter, tracer)
 
         self.ms_keys = build_ms_keys()
@@ -254,9 +257,9 @@ class LevelRun:
     def _book_gossip(self) -> None:
         """Meter ring gossip between peers over the whole level."""
         gossip_step = self.profile.gossip_interval_ms * 1000
-        peers = self.topology.peers
+        ring = tuple(zip(PEER_HOSTS, PEER_HOSTS[1:] + PEER_HOSTS[:1]))
         for at in range(gossip_step, self.duration_us + 1, gossip_step):
-            for src, dst in zip(peers, peers[1:] + peers[:1]):
+            for src, dst in ring:
                 self.net.book(src, dst, self.profile.gossip_bytes, at)
 
     def _book_keepalives(self, until: int) -> None:
@@ -265,7 +268,7 @@ class LevelRun:
         answers on arrival. A fault books up to its instant before it applies."""
         lead = self.cluster.lead_instance("coordinator")
         host, size = f"coordinator-{lead}", self.profile.keepalive_bytes
-        peers = self.topology.peers if lead is not None else ()
+        peers = PEER_HOSTS if lead is not None else ()
         while self._keepalive_at < min(until, self.duration_us + 1):
             for peer in peers:
                 self.net.book(host, peer, size, self.net.book(peer, host, size, self._keepalive_at))
@@ -406,7 +409,7 @@ class LevelRun:
                     else:
                         self._fail_request(ms)
 
-        self.net.send(seq_host, self.topology.peers, block_bytes, "block", delivered)
+        self.net.send(seq_host, PEER_HOSTS, block_bytes, "block", delivered)
 
     def _respond(self, ms: str, size: int, arrived_at: int | None) -> None:
         """Peer `ms` answers its client. A request that arrived at `arrived_at`
@@ -487,7 +490,7 @@ class LevelRun:
             self.meter.host_kb_per_second(_peer_host(ms)) for ms in EU_MEMBER_STATES
         )
         ordering_kb = sum(
-            self.meter.host_kb_per_second(host) for host in self.topology.ordering_hosts
+            self.meter.host_kb_per_second(host) for host in ORDERING_HOSTS
         )
         busy = {
             "endorse": max(

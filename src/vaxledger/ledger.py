@@ -16,9 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from .credential import DIGEST_SIZE, sign_payload, verify_payload
+from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
 
 __all__ = [
     "EU_MEMBER_STATES",
@@ -150,10 +150,6 @@ class Transaction:
         require_member_state(self.submitter)
 
 
-def _lp(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
-
-
 def _encode_version(version) -> bytes:
     if version is None:
         return b"\xff"
@@ -189,8 +185,6 @@ def endorse_transaction(tx: Transaction, keypair, scheme_id: str | None = None) 
     """Return the transaction with the submitter's endorsement appended."""
     scheme = scheme_id or keypair.scheme_id
     sig = sign_payload(scheme, keypair.private_key, transaction_signing_payload(tx))
-    from dataclasses import replace
-
     return replace(tx, endorsements=tx.endorsements + ((tx.submitter, sig),))
 
 
@@ -274,13 +268,11 @@ class WorldState:
     """Versioned key-value store; insertion order defines scan order.
 
     Overwritten keys keep their original scan position, so "the last record"
-    is well defined for the worst-case content query. A cached value snapshot
-    serves repeated scans over unchanged state until the next write.
+    is well defined for the worst-case content query.
     """
 
     def __init__(self):
         self._entries: dict[str, StateEntry] = {}
-        self._scan_cache: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -303,13 +295,10 @@ class WorldState:
             existing.version = version
         else:
             self._entries[key] = StateEntry(value=value, version=version)
-        self._scan_cache = None
 
-    def entries_in_order(self) -> tuple:
-        """Snapshot of values in insertion order; cached until the next write."""
-        if self._scan_cache is None:
-            self._scan_cache = tuple(self._entries.values())
-        return self._scan_cache
+    def entries_in_order(self):
+        """Live view of the entries in insertion order; do not write while iterating."""
+        return self._entries.values()
 
     def digest(self) -> bytes:
         """Order-sensitive digest of the full state, for replay comparisons."""

@@ -6,23 +6,23 @@ constant per-message byte overhead. `transit_delay` returns the exact rational
 delay; the event layer quantizes it with ceiling division so the hot path
 stays in pure integer arithmetic.
 
-Every host is a flat-mesh endpoint. Per-role service stations are FIFO queues
-with a configurable worker count (1 for everything except the content-query
-pool); queueing delay emerges from occupancy rather than being modeled
-directly.
+Every host is a flat-mesh endpoint named by the caller; the core keeps no
+host roster and knows nothing of peers or ordering roles. Per-role service
+stations are FIFO queues with a configurable worker count (1 for everything
+except the content-query pool); queueing delay emerges from occupancy rather
+than being modeled directly.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "LinkParams",
-    "Topology",
-    "build_topology",
     "transit_delay",
     "transit_delay_us",
     "EventQueue",
@@ -31,6 +31,10 @@ __all__ = [
     "TraceWriter",
     "MessageLayer",
 ]
+
+# Events one `run_until` call may dispatch before it gives up on a runaway loop.
+MAX_EVENTS = 50_000_000
+
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -45,32 +49,6 @@ class LinkParams:
             raise ValueError("bandwidth must be positive")
         if self.tls_overhead_bytes < 0:
             raise ValueError("tls overhead must be non-negative")
-
-
-@dataclass(frozen=True)
-class Topology:
-    """27 peer hosts plus the ten ordering hosts, full mesh, uniform links."""
-
-    peers: tuple
-    ordering_hosts: tuple
-    link: LinkParams
-
-    def __post_init__(self):
-        if len(self.peers) != 27:
-            raise ValueError(f"expected exactly 27 peer hosts, got {len(self.peers)}")
-        if len(self.ordering_hosts) != 10:
-            raise ValueError(f"expected 10 ordering hosts, got {len(self.ordering_hosts)}")
-
-
-def build_topology(member_states, link: LinkParams | None = None) -> Topology:
-    link = link or LinkParams()
-    peers = tuple(f"peer-{ms}" for ms in member_states)
-    ordering = tuple(
-        [f"coordinator-{i}" for i in range(3)]
-        + [f"broker-{i}" for i in range(4)]
-        + [f"sequencer-{i}" for i in range(3)]
-    )
-    return Topology(peers=peers, ordering_hosts=ordering, link=link)
 
 
 def transit_delay(link: LinkParams, size_bytes: int) -> Fraction:
@@ -109,33 +87,27 @@ class EventQueue:
         heapq.heappush(self._heap, (at, self._seq, callback))
         self._seq += 1
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def run_until(self, t_end: int) -> int:
-        """Process all events with time <= t_end; clock lands on t_end."""
+    def run_until(self, t_end: int | None = None) -> int:
+        """Process all events with time <= t_end, the clock landing on t_end;
+        with no t_end, run to exhaustion, the clock staying at the last event."""
+        heap = self._heap
+        end = math.inf if t_end is None else t_end
         count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            at, _seq, callback = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= end:
+            at, _seq, callback = heapq.heappop(heap)
             self.clock = at
             callback()
             count += 1
-        self.clock = max(self.clock, t_end)
+            if count > MAX_EVENTS:
+                raise RuntimeError("event run exceeded safety limit")
+        if t_end is not None:
+            self.clock = max(self.clock, t_end)
         self.processed += count
         return count
 
-    def drain(self, max_events: int = 50_000_000) -> int:
+    def drain(self) -> int:
         """Run to exhaustion (used after the measurement window closes)."""
-        count = 0
-        while self._heap:
-            at, _seq, callback = heapq.heappop(self._heap)
-            self.clock = at
-            callback()
-            count += 1
-            if count > max_events:
-                raise RuntimeError("event drain exceeded safety limit")
-        self.processed += count
-        return count
+        return self.run_until()
 
 
 class ServiceStation:

@@ -14,7 +14,7 @@ most one envelope), or the oldest pending envelope reaches batch_timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .credential import KeyPair, sign_payload
 from .ledger import Block, Transaction, compute_data_hash, compute_block_hash
@@ -100,51 +100,33 @@ class OrderingCluster:
         self.log.append(envelope)
         return SubmitResult(accepted=True)
 
-    def pending_count(self) -> int:
-        return len(self.log) - self._cursor
-
-    def oldest_pending_at(self) -> int | None:
-        if self._cursor >= len(self.log):
-            return None
-        return self.log[self._cursor].received_at
-
     def next_timeout_deadline(self) -> int | None:
         """Simulated time at which the oldest pending envelope forces a cut."""
-        oldest = self.oldest_pending_at()
-        if oldest is None:
+        if self._cursor >= len(self.log):
             return None
-        return oldest + self.batch.batch_timeout_us
+        return self.log[self._cursor].received_at + self.batch.batch_timeout_us
 
     def cut_batch(self, now: int) -> list[Envelope] | None:
-        """Emit the oldest pending envelopes when a cut rule fires, else None."""
-        pending = self.pending_count()
-        if pending == 0:
-            return None
-        count_ready = pending >= self.batch.max_message_count
-        bytes_ready = self._pending_bytes_reach_limit()
-        oldest = self.log[self._cursor].received_at
-        timeout_ready = now - oldest >= self.batch.batch_timeout_us
-        if not (count_ready or bytes_ready or timeout_ready):
-            return None
-        batch: list[Envelope] = []
-        total_bytes = 0
-        while self._cursor < len(self.log) and len(batch) < self.batch.max_message_count:
-            envelope = self.log[self._cursor]
-            batch.append(envelope)
-            self._cursor += 1
-            total_bytes += envelope.size_bytes
-            if total_bytes >= self.batch.max_batch_bytes:
-                break
-        return batch
+        """Emit the oldest pending envelopes when a cut rule fires, else None.
 
-    def _pending_bytes_reach_limit(self) -> bool:
-        total = 0
-        limit = self.batch.max_batch_bytes
-        for index in range(self._cursor, min(len(self.log), self._cursor + self.batch.max_message_count)):
-            total += self.log[index].size_bytes
-            if total >= limit:
-                return True
-        return False
+        One walk takes up to max_message_count envelopes, stopping after the
+        one that brings the total to max_batch_bytes; the cut is ready if the
+        walk reached either limit or the oldest envelope has timed out.
+        """
+        log, start = self.log, self._cursor
+        if start >= len(log):
+            return None
+        limit, count = self.batch.max_batch_bytes, self.batch.max_message_count
+        stop, total = start, 0
+        end = min(len(log), start + count)
+        while stop < end and total < limit:
+            total += log[stop].size_bytes
+            stop += 1
+        if total < limit and stop - start < count:
+            if now - log[start].received_at < self.batch.batch_timeout_us:
+                return None
+        self._cursor = stop
+        return log[start:stop]
 
 
 def seal_block(batch: list[Envelope], prev_tip: tuple, sealer_key: KeyPair) -> Block:

@@ -10,7 +10,7 @@ under benchmarks/.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .netsim import LinkParams
 from .ordering import ROLE_SIZES, BatchConfig
@@ -66,31 +66,14 @@ class ServiceTimeProfile:
     query_workers: int = 18
 
     def __post_init__(self):
-        for name in (
-            "endorse_ms",
-            "commit_per_tx_ms",
-            "orderer_per_envelope_ms",
-            "query_per_record_us",
-            "rest_overhead_ms",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in (
-            "proposal_bytes",
-            "endorsement_bytes",
-            "envelope_bytes",
-            "block_base_bytes",
-            "query_bytes",
-            "response_bytes",
-            "gossip_bytes",
-            "keepalive_bytes",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.query_workers < 1:
-            raise ConfigError("query_workers must be >= 1")
-        if self.gossip_interval_ms <= 0 or self.keepalive_interval_ms <= 0:
-            raise ConfigError("ambient traffic intervals must be positive")
+        # Durations (float fields) may be zero; sizes, intervals and the pool
+        # width (int fields) count at least one.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and value < 0:
+                raise ConfigError(f"{f.name} must be non-negative")
+            if f.type == "int" and value < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
 
     @property
     def endorse_us(self) -> int:

@@ -1,6 +1,7 @@
 """Scenario configs, report/CSV plumbing, and calibration behavior."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -53,6 +54,18 @@ class TestConfigSchema:
         doc["link"]["jitter_us"] = 5
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ServiceTimeProfile), ids=lambda f: f.name)
+    def test_profile_field_rules(self, field):
+        """Durations may be zero but not negative; sizes, intervals and the
+        query pool width must be at least 1."""
+        durations = {"endorse_ms", "commit_per_tx_ms", "orderer_per_envelope_ms",
+                     "query_per_record_us", "rest_overhead_ms"}
+        lowest_ok, bad = (0, (-0.01,)) if field.name in durations else (1, (0, 0.5))
+        dataclasses.replace(DEFAULT_PROFILE, **{field.name: lowest_ok})
+        for value in bad:
+            with pytest.raises(ConfigError):
+                dataclasses.replace(DEFAULT_PROFILE, **{field.name: value})
 
     def test_bad_values(self):
         with pytest.raises(ConfigError):
@@ -300,6 +313,46 @@ class TestCalibration:
 
     def test_missing_required_rows_fail(self):
         rows = [TargetRow("register", 1.0, 84.0, 395.0)]
+        with pytest.raises(CalibrationError):
+            calibrate(rows, DEFAULT_PROFILE)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("step,tps,response_time_ms\nregister,1,84\n", "peer_bandwidth_kb"),
+            ("step,tps,response_time_ms,peer_bandwidth_kb\nregister,1,84\n", "line 2"),
+        ],
+        ids=["missing-column", "short-row"],
+    )
+    def test_malformed_targets_csv_fail(self, tmp_path, text, message):
+        path = tmp_path / "targets.csv"
+        path.write_text(text)
+        with pytest.raises(CalibrationError, match=message):
+            load_targets(path)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            TargetRow("Register", 4.0, 78.0, 457.0),
+            TargetRow("verify", 8.0, 0.0, 495.0),
+            TargetRow("register", 8.0, 87.0, -1.0),
+        ],
+        ids=["unknown-step", "zero-response", "negative-bandwidth"],
+    )
+    def test_unusable_target_fails_before_simulation(self, monkeypatch, bad_row):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("targets must be checked before any simulation")
+
+        # The package attribute `vaxledger.calibrate` is the function; patch the module.
+        module = importlib.import_module("vaxledger.calibrate")
+        monkeypatch.setattr(module, "run_scenario", no_simulation)
+        rows = [
+            TargetRow("register", 1.0, 84.0, 395.0),
+            TargetRow("register", 28.0, 133.0, 700.0),
+            TargetRow("verify", 1.0, 91.0, 394.0),
+            TargetRow("verify", 100.0, 189.0, 804.0),
+            bad_row,
+        ]
         with pytest.raises(CalibrationError):
             calibrate(rows, DEFAULT_PROFILE)
 

@@ -60,6 +60,20 @@ class TestIssueAndHash:
         result = runner.invoke(main, ["hash", "does-not-exist.json"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("command", ["hash", "register", "verify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [{"format": "vaxledger-credential/1", "issuer": "did:center:abc"}, ["not", "an", "object"]],
+        ids=["missing-field", "not-an-object"],
+    )
+    def test_malformed_fixture_config_error(self, tmp_path, runner, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("config error: ")
+
     def test_issue_unknown_ms_config_error(self, tmp_path, runner):
         result = runner.invoke(
             main, ["issue", "--issuer-ms", "XX", "--out", str(tmp_path / "c.json")]
@@ -151,6 +165,13 @@ class TestCalibrateAndReport:
         targets.write_text("step,tps,response_time_ms,peer_bandwidth_kb\n")
         result = runner.invoke(main, ["calibrate", "--targets", str(targets)])
         assert result.exit_code == 2
+
+    def test_targets_missing_column_exit_code(self, tmp_path, runner):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("step,tps,response_time_ms\nregister,1,84\n")
+        result = runner.invoke(main, ["calibrate", "--targets", str(targets)])
+        assert result.exit_code == 2
+        assert "peer_bandwidth_kb" in result.stderr
 
     def test_report_renders_table(self, tmp_path, runner):
         csv_path = tmp_path / "r.csv"

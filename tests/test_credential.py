@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vaxledger.credential import (
     CertificateHash,
+    CredentialError,
     DecentralizedIdentifier,
     InvalidCredentialError,
     MissingProofError,
@@ -256,3 +257,13 @@ class TestFixtureFile:
     def test_unsupported_format_rejected(self):
         with pytest.raises(Exception):
             credential_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"issuer": None}, {"dose_number": [2]}, {"proof": "not-an-object"}, {"subject": 7}],
+    )
+    def test_wrong_typed_field_rejected(self, change):
+        credential, _ = make_credential()
+        doc = {**credential_to_dict(credential), **change}
+        with pytest.raises(CredentialError):
+            credential_from_dict(doc)

@@ -2,6 +2,7 @@
 
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,6 @@ from vaxledger.netsim import (
     LinkParams,
     ServiceStation,
     TraceWriter,
-    build_topology,
     transit_delay,
     transit_delay_us,
 )
@@ -141,11 +141,33 @@ class TestBandwidthMeter:
 
 
 def test_topology_cardinality():
-    topology = build_topology(EU_MEMBER_STATES)
-    assert len(topology.peers) == 27
-    assert len(topology.ordering_hosts) == 10
-    with pytest.raises(ValueError):
-        build_topology(EU_MEMBER_STATES[:26])
+    from vaxledger.engine import ORDERING_HOSTS, PEER_HOSTS
+
+    assert PEER_HOSTS == tuple(f"peer-{ms}" for ms in EU_MEMBER_STATES)
+    assert len(PEER_HOSTS) == 27
+    assert ORDERING_HOSTS == (
+        "coordinator-0", "coordinator-1", "coordinator-2",
+        "broker-0", "broker-1", "broker-2", "broker-3",
+        "sequencer-0", "sequencer-1", "sequencer-2",
+    )
+
+
+def test_netsim_imports_only_the_standard_library():
+    """The network core is generic: no host roster, no other vaxledger module."""
+    import ast
+    import sys
+
+    import vaxledger.netsim
+
+    tree = ast.parse(Path(vaxledger.netsim.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "netsim must not import from its own package"
+            imported.add(node.module.split(".")[0])
+    assert imported and imported <= set(sys.stdlib_module_names)
 
 
 class TestEngineNetProperties:

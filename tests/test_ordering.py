@@ -4,6 +4,7 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vaxledger.credential import HMAC_SHA256, generate_did, generate_keypair
 from vaxledger.ledger import Chain, Transaction, WorldState, apply_block, endorse_transaction
@@ -144,6 +145,71 @@ class TestBatching:
         assert cluster.next_timeout_deadline() is None
         cluster.submit(make_envelope(1, at=500))
         assert cluster.next_timeout_deadline() == 500 + 40_000
+
+
+def reference_cuts(envelopes, config, now):
+    """The cuts the module's documented rules make at `now`, until none fires.
+
+    A cut fires when the pending count reaches max_message_count, pending
+    bytes reach max_batch_bytes, or the oldest pending envelope has waited
+    batch_timeout. It takes the oldest envelopes, at most max_message_count,
+    and at most one envelope past the byte limit.
+    """
+    pending, cuts = list(envelopes), []
+    while pending:
+        fires = (
+            len(pending) >= config.max_message_count
+            or sum(env.size_bytes for env in pending) >= config.max_batch_bytes
+            or now - pending[0].received_at >= config.batch_timeout_us
+        )
+        if not fires:
+            break
+        batch = []
+        for env in pending[: config.max_message_count]:
+            batch.append(env)
+            if sum(e.size_bytes for e in batch) >= config.max_batch_bytes:
+                break
+        cuts.append(batch)
+        pending = pending[len(batch):]
+    return cuts, pending
+
+
+PROPERTY_TXS = [make_envelope(i).transaction for i in range(24)]
+
+
+class TestBatchCutProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.tuples(st.integers(0, 3000), st.integers(0, 30_000)), max_size=len(PROPERTY_TXS)
+        ),
+        max_message_count=st.integers(1, 12),
+        max_batch_bytes=st.integers(1, 12_000),
+        batch_timeout_ms=st.integers(1, 60),
+        # `now` near some envelope's deadline, often exactly on it or one off.
+        deadline_of=st.integers(0, len(PROPERTY_TXS) - 1),
+        offset=st.integers(-1, 1) | st.integers(-100_000, 100_000),
+    )
+    def test_cut_matches_documented_rules(
+        self, arrivals, max_message_count, max_batch_bytes, batch_timeout_ms, deadline_of, offset
+    ):
+        config = BatchConfig(max_message_count, max_batch_bytes, batch_timeout_ms)
+        envelopes, at = [], 0
+        for tx, (size, gap) in zip(PROPERTY_TXS, arrivals):
+            at += gap
+            envelopes.append(Envelope(transaction=tx, received_at=at, size_bytes=size))
+        anchor = envelopes[deadline_of % len(envelopes)].received_at if envelopes else 0
+        now = max(0, anchor + config.batch_timeout_us + offset)
+        cluster = OrderingCluster(config)
+        for env in envelopes:
+            cluster.submit(env)
+        cuts = []
+        while (batch := cluster.cut_batch(now)) is not None:
+            cuts.append(batch)
+        expected, left = reference_cuts(envelopes, config, now)
+        assert cuts == expected
+        deadline = left[0].received_at + config.batch_timeout_us if left else None
+        assert cluster.next_timeout_deadline() == deadline
 
 
 class TestSealing:

@@ -1,9 +1,10 @@
 """Scenario execution, metrics aggregation, and CSV/table reporting.
 
-`run_scenario` sweeps a scenario's TPS levels, each on a fresh simulated
-world; results are deterministic per (config, seed). Response time is measured
-client-side, request to acknowledgment. The per-role busy fractions are a
-utilization proxy, not a reproduction of host CPU/memory percentages.
+`run_scenario` sweeps a scenario's TPS levels, each on its own simulated world
+forked from one setup world per call; results are deterministic per
+(config, seed). Response time is measured client-side, request to
+acknowledgment. The per-role busy fractions are a utilization proxy, not a
+reproduction of host CPU/memory percentages.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .engine import LevelMetrics, run_level
+from .engine import LevelMetrics, SetupWorld, run_level
 from .ledger import write_snapshot
 from .netsim import TraceWriter
 from .scenario import ScenarioConfig
@@ -41,6 +42,10 @@ def run_scenario(
 ) -> MetricsReport:
     """Run every TPS level of the scenario and aggregate a MetricsReport.
 
+    The levels fork one `SetupWorld`, built here and grown as they need it,
+    so each setup block is built once per call and levels may come in any
+    order.
+
     `trace_path` dumps the newline-delimited event trace of all levels;
     `snapshot_path` exports the final level's ledger for audit/determinism
     comparisons.
@@ -50,8 +55,9 @@ def run_scenario(
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         tracer = TraceWriter(trace_fh) if trace_fh else None
+        setup = SetupWorld(config)
         for level in config.tps_levels:
-            metrics, run = run_level(config, level, tracer)
+            metrics, run = run_level(config, level, tracer, setup)
             levels.append(metrics)
             last_run = run
     finally:

@@ -1,8 +1,13 @@
 """End-to-end scenario engine: drives register/verify flows over the simulator.
 
-One `LevelRun` owns a fresh world per offered-TPS level: 27 peers and their
+One `LevelRun` owns the world of one offered-TPS level: 27 peers and their
 shared replicated ledger, the ordering cluster, per-role service stations, and
-ambient gossip/keepalive traffic. Registration follows
+ambient gossip/keepalive traffic. Its ledger starts as a fork of a
+`SetupWorld`, which the levels of one scenario share: the setup blocks of a
+level are a prefix of a larger level's, up to its final partial block, so each
+full setup block is endorsed, sealed and validated once per scenario. A fork
+gets its own chain and fresh state entries, so nothing a level writes reaches
+the setup world or another level. Registration follows
 client -> peer (REST, endorse) -> ordering (sequence, batch, seal) ->
 block fan-out -> commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response. Every started
@@ -68,12 +73,17 @@ from .ordering import ROLE_SIZES, ROLES, Envelope, OrderingCluster, seal_block
 from .scenario import ScenarioConfig
 from .workload import ArrivalSchedule, generate_arrivals
 
-__all__ = ["PEER_HOSTS", "ORDERING_HOSTS", "LevelMetrics", "LevelRun", "run_level", "build_ms_keys"]
+__all__ = [
+    "PEER_HOSTS", "ORDERING_HOSTS", "LevelMetrics", "LevelRun", "SetupWorld", "run_level",
+    "build_ms_keys",
+]
 
 # The deployment: one peer per member state, and the ordering cluster's
 # instances in ROLES order (the ordering-bandwidth sum runs in this order).
 PEER_HOSTS = tuple(f"peer-{ms}" for ms in EU_MEMBER_STATES)
 ORDERING_HOSTS = tuple(f"{role}-{i}" for role in ROLES for i in range(ROLE_SIZES[role]))
+# Preloaded records are sealed into setup blocks of this many transactions.
+SETUP_BLOCK_TXS = 500
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,6 @@ class LevelMetrics:
     block_count: int
     scan_count: int
     processed_events: int
-    request_events: int
 
 
 def build_ms_keys(scheme_id: str = HMAC_SHA256) -> dict:
@@ -113,18 +122,19 @@ def _client_host(ms: str) -> str:
     return f"client-{ms}"
 
 
-class LevelRun:
-    """A single (step, tps level) execution over a fresh simulated world."""
+class SetupWorld:
+    """The setup that the levels of one scenario share, grown as they need it.
 
-    def __init__(self, config: ScenarioConfig, level, tracer: TraceWriter | None = None):
+    It owns the member-state and sealer keys, the center block and the
+    endorsed preload records in order. Each full block of `SETUP_BLOCK_TXS`
+    records is sealed onto `chain` and validated into `state` once, when a
+    level first needs it; `fork` hands a level its prefix. Setup transaction
+    ids carry no level, so a level's setup blocks are a prefix of a larger
+    level's, up to its final partial block.
+    """
+
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.level = level
-        self.profile = config.service_profile
-        self.duration_us = config.duration_seconds * 1_000_000
-        self.queue = EventQueue()
-        self.meter = BandwidthMeter(window_us=self.duration_us)
-        self.net = MessageLayer(self.queue, config.link, self.meter, tracer)
-
         self.ms_keys = build_ms_keys()
         self.policy = EndorsementPolicy(
             roster={ms: kp.public_key for ms, kp in self.ms_keys.items()},
@@ -132,6 +142,129 @@ class LevelRun:
         )
         sealer_did = generate_did("ordering", b"sealer")
         self.sealer_key = generate_keypair(sealer_did, b"sealer", HMAC_SHA256)
+        self.center_dids: dict = {}
+        self.chain = Chain()
+        self.state = WorldState()
+        self.records: list = []  # endorsed register transactions, in preload order
+        self.provisioned: list = []  # (ms, cert hex) of each record
+        self._state_sizes: list = []  # entries in `state` after each block of `chain`
+        self._tx_counter = 0
+
+    def _next_tx_id(self) -> bytes:
+        self._tx_counter += 1
+        tag = "tx|%s|%d|%d" % (self.config.step, self.config.seed, self._tx_counter)
+        return hashlib.sha256(tag.encode()).digest()[:16]
+
+    def _endorse(self, ms: str, response, tx_id: bytes) -> Transaction:
+        """The transaction of chaincode `response`, endorsed by `ms`."""
+        tx = Transaction(
+            tx_id=tx_id,
+            submitter=ms,
+            operation=response.operation,
+            read_set=response.read_set,
+            write_set=response.write_set,
+            payload_size=self.config.service_profile.envelope_bytes,
+        )
+        return endorse_transaction(tx, self.ms_keys[ms])
+
+    def register_tx(
+        self, state: WorldState, ms: str, cert: CertificateHash, tx_id: bytes
+    ) -> Transaction:
+        """The register chaincode run on `cert` over `state` by the peer of `ms`, endorsed."""
+        ctx = ChaincodeContext(caller=ms, state=state)
+        return self._endorse(ms, register_certificate(ctx, cert, self.center_dids[ms]), tx_id)
+
+    def seal(self, chain: Chain, state: WorldState, batch: list) -> tuple:
+        """Seal a batch onto `chain` and apply it to `state`; returns (block, validity flags)."""
+        block = seal_block(batch, chain.tip, self.sealer_key)
+        chain.append_block(block)
+        return block, apply_block(state, block, self.policy)
+
+    def commit_setup_block(self, chain: Chain, state: WorldState, txs: list) -> None:
+        """Seal `txs` onto `chain` as one setup block; each must validate."""
+        _block, flags = self.seal(
+            chain, state, [Envelope(transaction=tx, received_at=0, size_bytes=0) for tx in txs]
+        )
+        if not all(f.valid for f in flags):
+            raise RuntimeError("setup block contained invalid transactions")
+
+    def _commit_full_block(self, txs: list) -> None:
+        self.commit_setup_block(self.chain, self.state, txs)
+        self._state_sizes.append(len(self.state))
+
+    def _grow(self, total: int) -> None:
+        """Build the center block, if not yet built, and endorse records up to
+        `total`, sealing each full block as it fills."""
+        if not self.chain.blocks:
+            center_txs = []
+            for ms in EU_MEMBER_STATES:
+                did = generate_did("center", b"center|" + ms.encode())
+                self.center_dids[ms] = did.text
+                ctx = ChaincodeContext(caller=ms, state=self.state)
+                response = register_medical_center(
+                    ctx,
+                    MedicalCenterRecord(
+                        center_id=f"{ms.lower()}-national-1",
+                        ms=ms,
+                        name=f"{ms} National Vaccination Center",
+                        address=f"1 Health Way, {ms}",
+                        issuer_did=did.text,
+                    ),
+                )
+                center_txs.append(self._endorse(ms, response, self._next_tx_id()))
+            self._commit_full_block(center_txs)
+        records = self.records
+        while len(records) < total:
+            index = len(records)
+            ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
+            cert = CertificateHash(hashlib.sha256(b"preload-cert|%d" % index).digest())
+            records.append(self.register_tx(self.state, ms, cert, self._next_tx_id()))
+            self.provisioned.append((ms, cert.hex))
+            if len(records) % SETUP_BLOCK_TXS == 0:
+                self._commit_full_block(records[-SETUP_BLOCK_TXS:])
+
+    def fork(self, total: int) -> tuple:
+        """A new (chain, state) holding the centers and the first `total` records.
+
+        The chain takes the shared frozen blocks of the full record blocks; the
+        state takes fresh copies of their entries, since `WorldState.put`
+        updates an entry in place. The final partial block is sealed and
+        validated on the fork alone.
+        """
+        self._grow(total)
+        full = total // SETUP_BLOCK_TXS
+        chain = Chain()
+        for block in self.chain.blocks[: full + 1]:
+            chain.append_block(block)
+        state = self.state.copy_prefix(self._state_sizes[full])
+        partial = self.records[full * SETUP_BLOCK_TXS : total]
+        if partial:
+            self.commit_setup_block(chain, state, partial)
+        return chain, state
+
+
+class LevelRun:
+    """A single (step, tps level) execution over its own simulated world.
+
+    Its ledger starts as a fork of `setup`; without one, the run builds a
+    private `SetupWorld`.
+    """
+
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        level,
+        tracer: TraceWriter | None = None,
+        setup: SetupWorld | None = None,
+    ):
+        self.config = config
+        self.level = level
+        self.profile = config.service_profile
+        self.duration_us = config.duration_seconds * 1_000_000
+        self.queue = EventQueue()
+        self.meter = BandwidthMeter(window_us=self.duration_us)
+        self.net = MessageLayer(self.queue, config.link, self.meter, tracer)
+        self.setup = setup if setup is not None else SetupWorld(config)
 
         self.chain = Chain()
         self.state = WorldState()
@@ -148,7 +281,6 @@ class LevelRun:
         }
         self.orderer_station = ServiceStation("orderer", window_us=window)
 
-        self.center_dids = {}
         self.provisioned: list = []
         self.responses_us: list = []
         self.errors = 0
@@ -169,40 +301,17 @@ class LevelRun:
     # world construction
 
     def _next_tx_id(self) -> bytes:
+        """Ids of transactions made after `preload`; tagged with the level,
+        which setup ids never are."""
         self._tx_counter += 1
         tag = "tx|%s|%s|%d|%d" % (
             self.config.step, self.level, self.config.seed, self._tx_counter
         )
         return hashlib.sha256(tag.encode()).digest()[:16]
 
-    def _seal(self, batch: list) -> tuple:
-        """Seal a batch onto the tip and apply it; returns (block, validity flags)."""
-        block = seal_block(batch, self.chain.tip, self.sealer_key)
-        self.chain.append_block(block)
-        return block, apply_block(self.state, block, self.policy)
-
-    def _commit_setup_block(self, txs: list) -> None:
-        _block, flags = self._seal(
-            [Envelope(transaction=tx, received_at=0, size_bytes=0) for tx in txs]
-        )
-        if not all(f.valid for f in flags):
-            raise RuntimeError("setup block contained invalid transactions")
-
     def _register_tx(self, ms: str, cert: CertificateHash) -> Transaction:
         """The register chaincode run on `cert` by the peer of `ms`, endorsed."""
-        ctx = ChaincodeContext(caller=ms, state=self.state)
-        return self._build_tx(ms, register_certificate(ctx, cert, self.center_dids[ms]))
-
-    def _build_tx(self, ms: str, response) -> Transaction:
-        tx = Transaction(
-            tx_id=self._next_tx_id(),
-            submitter=ms,
-            operation=response.operation,
-            read_set=response.read_set,
-            write_set=response.write_set,
-            payload_size=self.profile.envelope_bytes,
-        )
-        return endorse_transaction(tx, self.ms_keys[ms])
+        return self.setup.register_tx(self.state, ms, cert, self._next_tx_id())
 
     def preload(self, schedule: ArrivalSchedule) -> None:
         """Anchor centers and the pre-provisioned certificate population.
@@ -210,45 +319,17 @@ class LevelRun:
         A verify level also provisions one distinct target record per request
         in `schedule`. Setup happens before the measurement window: no
         messages, no bandwidth, sealed directly into setup blocks so the chain
-        replays cleanly from genesis.
+        replays cleanly from genesis. The world is a fork of the setup world.
         """
-        center_txs = []
-        for ms in EU_MEMBER_STATES:
-            did = generate_did("center", b"center|" + ms.encode())
-            self.center_dids[ms] = did.text
-            ctx = ChaincodeContext(caller=ms, state=self.state)
-            response = register_medical_center(
-                ctx,
-                MedicalCenterRecord(
-                    center_id=f"{ms.lower()}-national-1",
-                    ms=ms,
-                    name=f"{ms} National Vaccination Center",
-                    address=f"1 Health Way, {ms}",
-                    issuer_did=did.text,
-                ),
-            )
-            center_txs.append(self._build_tx(ms, response))
-        self._commit_setup_block(center_txs)
-
         total = self.config.preloaded_records
         if self.config.step == "verify":
             total += len(schedule)
-        batch: list = []
-        for index in range(total):
-            ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
-            digest = hashlib.sha256(b"preload-cert|%d" % index).digest()
-            cert = CertificateHash(digest)
-            batch.append(self._register_tx(ms, cert))
-            self.provisioned.append((ms, cert.hex))
-            if len(batch) == 500:
-                self._commit_setup_block(batch)
-                batch = []
-        if batch:
-            self._commit_setup_block(batch)
+        self.chain, self.state = self.setup.fork(total)
+        self.provisioned = self.setup.provisioned[:total]
 
     def anchor(self, ms: str, cert: CertificateHash) -> None:
         """Anchor one more certificate, after `preload`, in its own setup block."""
-        self._commit_setup_block([self._register_tx(ms, cert)])
+        self.setup.commit_setup_block(self.chain, self.state, [self._register_tx(ms, cert)])
         self.provisioned.append((ms, cert.hex))
 
     # ------------------------------------------------------------------
@@ -383,7 +464,7 @@ class LevelRun:
     def _seal_and_fanout(self, batch: list) -> None:
         """Seal and fan out `batch`; on commit, ack each valid transaction's
         client and send an error response for each invalid one."""
-        block, flags = self._seal(batch)
+        block, flags = self.setup.seal(self.chain, self.state, batch)
         answers = {ms: [] for ms in EU_MEMBER_STATES}
         for tx, flag in zip(block.transactions, flags):
             if flag.valid:
@@ -524,13 +605,18 @@ class LevelRun:
             block_count=len(self.chain.blocks),
             scan_count=self._scan_memo or 0,
             processed_events=self.queue.processed,
-            request_events=self.started,
         )
 
 
-def run_level(config: ScenarioConfig, level, tracer: TraceWriter | None = None):
-    """Run one TPS level; returns (LevelMetrics, LevelRun) for inspection."""
-    run = LevelRun(config, level, tracer)
+def run_level(
+    config: ScenarioConfig,
+    level,
+    tracer: TraceWriter | None = None,
+    setup: SetupWorld | None = None,
+):
+    """Run one TPS level, forked from `setup` if given; returns (LevelMetrics,
+    LevelRun) for inspection."""
+    run = LevelRun(config, level, tracer, setup)
     metrics = run.execute()
     return metrics, run
 

@@ -14,6 +14,7 @@ concurrently.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass, replace
@@ -295,6 +296,16 @@ class WorldState:
             existing.version = version
         else:
             self._entries[key] = StateEntry(value=value, version=version)
+
+    def copy_prefix(self, count: int) -> "WorldState":
+        """A new state holding fresh copies of the first `count` entries, so a
+        write to either state leaves the other unchanged."""
+        copy = WorldState()
+        copy._entries = {
+            key: StateEntry(value=entry.value, version=entry.version)
+            for key, entry in itertools.islice(self._entries.items(), count)
+        }
+        return copy
 
     def entries_in_order(self):
         """Live view of the entries in insertion order; do not write while iterating."""

@@ -20,7 +20,8 @@ from vaxledger.calibrate import (
 )
 from vaxledger.chaincode import AlreadyRegisteredError
 from vaxledger.credential import CertificateHash
-from vaxledger.engine import LevelRun, run_level
+from vaxledger.engine import LevelRun, SetupWorld, run_level
+from vaxledger.ledger import cert_key
 from vaxledger.netsim import LinkParams, transit_delay_us
 from vaxledger.ordering import BatchConfig
 from vaxledger.scenario import (
@@ -299,6 +300,70 @@ class TestScenarioBehavior:
         busy = small_register_report.levels[0].busy_fractions
         assert set(busy) == {"endorse", "commit", "query", "orderer"}
         assert all(0 <= value <= 1 for value in busy.values())
+
+
+class TestSetupWorld:
+    """Levels forked from one setup world equal standalone levels and stay
+    apart from it and from each other."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # 102 and 116 records: one partial block each
+            default_verify_config(tps_levels=(1, 8), duration_seconds=2, preloaded_records=100),
+            # 500 records, no partial block; then 482 after it
+            default_verify_config(tps_levels=(10, 1), duration_seconds=2, preloaded_records=480),
+            # 900, 405 and 650 records, out of order
+            default_verify_config(
+                tps_levels=(100, 1, 50), duration_seconds=5, preloaded_records=400
+            ),
+            default_verify_config(
+                tps_levels=(50, 4), duration_seconds=5, preloaded_records=400,
+                arrival_mode="poisson", seed=3,
+            ),
+            default_register_config(tps_levels=(4, 1), duration_seconds=2, preloaded_records=600),
+        ],
+        ids=["below-block", "exact-blocks", "out-of-order", "poisson", "register"],
+    )
+    def test_shared_levels_equal_standalone_levels(self, config):
+        setup = SetupWorld(config)
+        for level in config.tps_levels:
+            shared_metrics, shared = run_level(config, level, setup=setup)
+            alone_metrics, alone = run_level(config, level)
+            assert shared_metrics == alone_metrics, level
+            assert shared.state.digest() == alone.state.digest(), level
+            assert len(shared.chain.blocks) == len(alone.chain.blocks), level
+            assert shared.chain.tip_hash == alone.chain.tip_hash, level
+            assert shared.provisioned == alone.provisioned, level
+            assert shared.chain.verify() and alone.chain.verify(), level
+
+    def test_fork_writes_reach_neither_setup_nor_next_fork(self):
+        config = default_register_config(duration_seconds=1, preloaded_records=600)
+        schedule = generate_arrivals(1, 1, config.arrival_mode, config.seed)
+        setup = SetupWorld(config)
+        first = LevelRun(config, 1, setup=setup)
+        first.preload(schedule)
+        forked_digest = first.state.digest()
+        setup_digest, setup_blocks = setup.state.digest(), len(setup.chain.blocks)
+        setup_tip = setup.chain.tip_hash
+
+        anchored, live = CertificateHash(b"\x5d" * 32), CertificateHash(b"\x5e" * 32)
+        first.anchor("DE", anchored)
+        first.start_register(live, "FR", 0)
+        first.queue.drain()
+        assert first.committed == 1
+        # An overwrite updates the entry in place; the fork's entry is its own.
+        ms, cert_hex = first.provisioned[0]
+        first.state.put(cert_key(ms, cert_hex), {"doc_type": "overwritten"}, (99, 0))
+
+        assert setup.state.digest() == setup_digest
+        assert (len(setup.chain.blocks), setup.chain.tip_hash) == (setup_blocks, setup_tip)
+        second = LevelRun(config, 1, setup=setup)
+        second.preload(schedule)
+        assert second.state.digest() == forked_digest
+        assert second.state.get(cert_key("DE", anchored.hex)) is None
+        assert second.state.get(cert_key("FR", live.hex)) is None
+        assert len(second.chain.blocks) == setup_blocks + 1  # its own partial block
 
 
 class TestCalibration:

@@ -182,8 +182,8 @@ class TestEngineNetProperties:
         from vaxledger.engine import run_level
         from vaxledger.scenario import default_register_config
 
-        metrics, _ = run_level(default_register_config(), 28)
-        assert metrics.request_events == 1680
+        metrics, run = run_level(default_register_config(), 28)
+        assert metrics.requests == run.started == 1680
 
     def test_trace_determinism(self):
         from vaxledger.engine import run_level

@@ -40,7 +40,6 @@ request's lookup costs the same.
 from __future__ import annotations
 
 import hashlib
-import statistics
 from dataclasses import dataclass
 
 from .chaincode import (
@@ -91,7 +90,6 @@ class LevelMetrics:
     tps: float
     requests: int
     mean_response_ms: float
-    median_response_ms: float
     p95_response_ms: float
     peer_bandwidth_kb: float
     ordering_bandwidth_kb: float
@@ -336,12 +334,11 @@ class LevelRun:
     # ambient traffic
 
     def _book_gossip(self) -> None:
-        """Meter ring gossip between peers over the whole level."""
-        gossip_step = self.profile.gossip_interval_ms * 1000
-        ring = tuple(zip(PEER_HOSTS, PEER_HOSTS[1:] + PEER_HOSTS[:1]))
-        for at in range(gossip_step, self.duration_us + 1, gossip_step):
-            for src, dst in ring:
-                self.net.book(src, dst, self.profile.gossip_bytes, at)
+        """Meter ring gossip between peers over the whole level: one series
+        per link, sent every gossip interval up to the level's end."""
+        step = self.profile.gossip_interval_ms * 1000
+        for src, dst in zip(PEER_HOSTS, PEER_HOSTS[1:] + PEER_HOSTS[:1]):
+            self.net.book(src, dst, self.profile.gossip_bytes, step, step, self.duration_us // step)
 
     def _book_keepalives(self, until: int) -> None:
         """Meter the keepalive ticks not yet booked before `until` and within
@@ -350,10 +347,12 @@ class LevelRun:
         lead = self.cluster.lead_instance("coordinator")
         host, size = f"coordinator-{lead}", self.profile.keepalive_bytes
         peers = PEER_HOSTS if lead is not None else ()
-        while self._keepalive_at < min(until, self.duration_us + 1):
-            for peer in peers:
-                self.net.book(host, peer, size, self.net.book(peer, host, size, self._keepalive_at))
-            self._keepalive_at += self.profile.keepalive_interval_ms * 1000
+        at, step = self._keepalive_at, self.profile.keepalive_interval_ms * 1000
+        ticks = max(0, -(-(min(until, self.duration_us + 1) - at) // step))
+        for peer in peers:
+            reply_at = self.net.book(peer, host, size, at, step, ticks)
+            self.net.book(host, peer, size, reply_at, step, ticks)
+        self._keepalive_at += ticks * step
 
     def _schedule_faults(self) -> None:
         for at_s, role, index, status in self.config.fault_schedule:
@@ -562,11 +561,10 @@ class LevelRun:
         if self.responses_us:
             ordered = sorted(self.responses_us)
             mean_ms = sum(ordered) / len(ordered) / 1000.0
-            median_ms = statistics.median(ordered) / 1000.0
             rank = max(0, -(-95 * len(ordered) // 100) - 1)
             p95_ms = ordered[rank] / 1000.0
         else:
-            mean_ms = median_ms = p95_ms = 0.0
+            mean_ms = p95_ms = 0.0
         peer_kb = max(
             self.meter.host_kb_per_second(_peer_host(ms)) for ms in EU_MEMBER_STATES
         )
@@ -593,7 +591,6 @@ class LevelRun:
             tps=float(self.level),
             requests=requests,
             mean_response_ms=mean_ms,
-            median_response_ms=median_ms,
             p95_response_ms=p95_ms,
             peer_bandwidth_kb=peer_kb,
             ordering_bandwidth_kb=ordering_kb,

@@ -157,8 +157,11 @@ def _encode_version(version) -> bytes:
     return b"\x01" + struct.pack(">II", version[0], version[1])
 
 
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _encode_value(value: dict) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL_JSON(value).encode()
 
 
 def transaction_signing_payload(tx: Transaction) -> bytes:

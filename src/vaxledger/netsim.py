@@ -151,50 +151,38 @@ class ServiceStation:
 
 
 class BandwidthMeter:
-    """Per-host byte accounting, bucketed by simulated second.
+    """Per-host byte totals inside the window [0, window_us), plus global totals.
 
     A message of size S (TLS overhead included) counts S at the sender and S
-    at the receiver. Traffic outside [0, window_us] is excluded from reports
-    but still enters the global totals used by the conservation check.
+    at the receiver. Traffic outside the window is excluded from the per-host
+    totals but still enters the global totals used by the conservation check.
     """
 
     def __init__(self, window_us: int):
         self.window_us = window_us
-        self._buckets: dict = {}  # host -> {second -> bytes}
+        self._window_bytes: dict = {}  # host -> bytes inside the window
         self.total_sent = 0
         self.total_received = 0
 
-    def _account(self, host: str, size: int, at: int) -> None:
+    def _account(self, host: str, size: int, at: int, step: int, count: int) -> None:
         if 0 <= at < self.window_us:
-            buckets = self._buckets.setdefault(host, {})
-            second = at // 1_000_000
-            buckets[second] = buckets.get(second, 0) + size
+            inside = min(count, (self.window_us - 1 - at) // step + 1)
+            self._window_bytes[host] = self._window_bytes.get(host, 0) + size * inside
 
-    def on_send(self, host: str, size_with_overhead: int, at: int) -> None:
-        self.total_sent += size_with_overhead
-        self._account(host, size_with_overhead, at)
+    def on_send(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
+        """Meter `count` messages of `size` bytes sent by `host` at `at`,
+        `at + step`, and so on (step >= 1)."""
+        self.total_sent += size * count
+        self._account(host, size, at, step, count)
 
-    def on_receive(self, host: str, size_with_overhead: int, at: int) -> None:
-        self.total_received += size_with_overhead
-        self._account(host, size_with_overhead, at)
-
-    def bandwidth_report(self, host: str, start_s: int = 0, end_s: int | None = None) -> float:
-        """KB (1000 bytes) crossing the host in [start_s, end_s) seconds.
-
-        The window must lie within the simulated measurement range; one-second
-        bucket granularity.
-        """
-        window_seconds = self.window_us // 1_000_000
-        if end_s is None:
-            end_s = window_seconds
-        if not 0 <= start_s <= end_s <= window_seconds:
-            raise ValueError(f"window [{start_s}, {end_s}) outside [0, {window_seconds}]")
-        buckets = self._buckets.get(host, {})
-        return sum(v for s, v in buckets.items() if start_s <= s < end_s) / 1000.0
+    def on_receive(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
+        """As `on_send`, for messages `host` receives."""
+        self.total_received += size * count
+        self._account(host, size, at, step, count)
 
     def host_kb(self, host: str) -> float:
-        """KB crossing the host over the whole measurement window."""
-        return sum(self._buckets.get(host, {}).values()) / 1000.0
+        """KB (1000 bytes) crossing the host over the whole measurement window."""
+        return self._window_bytes.get(host, 0) / 1000.0
 
     def host_kb_per_second(self, host: str) -> float:
         seconds = self.window_us / 1_000_000
@@ -234,9 +222,9 @@ class MessageLayer:
         dsts = (dst,) if isinstance(dst, str) else dst
         now = self.queue.clock
         wire_size = size + self.link.tls_overhead_bytes
-        for _ in dsts:
-            self.meter.on_send(src, wire_size, now)
-            if self.tracer is not None:
+        self.meter.on_send(src, wire_size * len(dsts), now)
+        if self.tracer is not None:
+            for _ in dsts:
                 self.tracer.record(now, f"send:{kind}", src, wire_size)
         delivery = now + transit_delay_us(self.link, size)
 
@@ -250,11 +238,12 @@ class MessageLayer:
         self.queue.schedule(delivery, deliver)
         return delivery
 
-    def book(self, src: str, dst: str, size: int, at: int) -> int:
-        """Meter, without event or trace, a message sent at `at` whose delivery
-        triggers nothing; returns the delivery time."""
+    def book(self, src: str, dst: str, size: int, at: int, step: int, count: int) -> int:
+        """Meter, without event or trace, `count` messages sent at `at`,
+        `at + step`, and so on, whose deliveries trigger nothing; returns the
+        first delivery time."""
         wire_size = size + self.link.tls_overhead_bytes
         delivery = at + transit_delay_us(self.link, size)
-        self.meter.on_send(src, wire_size, at)
-        self.meter.on_receive(dst, wire_size, delivery)
+        self.meter.on_send(src, wire_size, at, step, count)
+        self.meter.on_receive(dst, wire_size, delivery, step, count)
         return delivery

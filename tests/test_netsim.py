@@ -1,15 +1,18 @@
 """Transit arithmetic, event ordering, stations, and byte conservation."""
 
+import hashlib
 import io
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vaxledger.netsim import (
     BandwidthMeter,
     EventQueue,
     LinkParams,
+    MessageLayer,
     ServiceStation,
     TraceWriter,
     transit_delay,
@@ -126,18 +129,87 @@ class TestBandwidthMeter:
         assert meter.host_kb("a") == 0.0
         assert meter.total_sent == 500  # still in the conservation totals
 
-    def test_sub_window_report(self):
+    def test_window_edge(self):
         meter = BandwidthMeter(window_us=3_000_000)
         meter.on_send("a", 1000, at=0)
-        meter.on_send("a", 2000, at=1_500_000)
-        meter.on_receive("a", 4000, at=2_999_999)
-        assert meter.bandwidth_report("a", 0, 1) == 1.0
-        assert meter.bandwidth_report("a", 1, 2) == 2.0
-        assert meter.bandwidth_report("a") == 7.0
-        with pytest.raises(ValueError):
-            meter.bandwidth_report("a", 0, 4)  # beyond the simulated range
-        with pytest.raises(ValueError):
-            meter.bandwidth_report("a", -1, 2)
+        meter.on_receive("a", 4000, at=2_999_999)  # W - 1 counts
+        meter.on_send("a", 2000, at=3_000_000)  # W does not
+        assert meter.host_kb("a") == 5.0
+        assert meter.total_sent == 3000
+
+
+def _window_bytes(meter, hosts):
+    return {host: round(meter.host_kb(host) * 1000) for host in hosts}
+
+
+class TestSeriesBooking:
+    """`book` meters a whole series the way single messages would, one by one."""
+
+    WINDOW = 1_000_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        at=st.integers(0, 1_200_000),
+        step=st.integers(1, 400_000),
+        count=st.integers(0, 40),
+        size=st.integers(1, 20_000),
+        latency=st.integers(0, 300_000),
+        data=st.data(),
+    )
+    def test_series_matches_single_messages(self, at, step, count, size, latency, data):
+        link = LinkParams(latency_us=latency)
+        wire, transit = size + link.tls_overhead_bytes, transit_delay_us(link, size)
+        if count and data.draw(st.booleans()):
+            # land one send, or one delivery, on the window end or one off it
+            k = data.draw(st.integers(0, count - 1))
+            lag = data.draw(st.sampled_from((0, transit)))
+            at = max(0, self.WINDOW + data.draw(st.integers(-1, 1)) - lag - k * step)
+        meter = BandwidthMeter(window_us=self.WINDOW)
+        delivery = MessageLayer(EventQueue(), link, meter).book("a", "b", size, at, step, count)
+
+        expected = {"a": 0, "b": 0}
+        for k in range(count):
+            sent_at = at + k * step
+            if sent_at < self.WINDOW:
+                expected["a"] += wire
+            if sent_at + transit < self.WINDOW:
+                expected["b"] += wire
+        assert delivery == at + transit
+        assert _window_bytes(meter, "ab") == expected
+        assert meter.total_sent == meter.total_received == wire * count
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        now=st.integers(0, 1_200_000),
+        copies=st.integers(1, 27),
+        size=st.integers(1, 20_000),
+        latency=st.integers(0, 300_000),
+        data=st.data(),
+    )
+    def test_fan_out_matches_per_copy_metering(self, now, copies, size, latency, data):
+        link = LinkParams(latency_us=latency)
+        wire, transit = size + link.tls_overhead_bytes, transit_delay_us(link, size)
+        if data.draw(st.booleans()):
+            # the send, or the delivery, on the window end or one off it
+            lag = data.draw(st.sampled_from((0, transit)))
+            now = max(0, self.WINDOW + data.draw(st.integers(-1, 1)) - lag)
+        queue, meter = EventQueue(), BandwidthMeter(window_us=self.WINDOW)
+        queue.run_until(now)
+        dsts = tuple(f"d{i}" for i in range(copies))
+        MessageLayer(queue, link, meter).send("s", dsts, size, "block", lambda: None)
+        queue.drain()
+
+        expected = {"s": wire * copies if now < self.WINDOW else 0}
+        expected.update({d: wire if now + transit < self.WINDOW else 0 for d in dsts})
+        assert _window_bytes(meter, expected) == expected
+        assert meter.total_sent == meter.total_received == wire * copies
+
+    def test_conservation_checks_messages_in_flight(self):
+        queue, meter = EventQueue(), BandwidthMeter(window_us=self.WINDOW)
+        MessageLayer(queue, LinkParams(), meter).send("s", ("a", "b"), 100, "x", lambda: None)
+        assert meter.total_sent > meter.total_received
+        queue.drain()
+        assert meter.total_sent == meter.total_received == 2 * 160
 
 
 def test_topology_cardinality():
@@ -177,6 +249,27 @@ class TestEngineNetProperties:
 
         _, run = run_level(default_register_config(duration_seconds=5), 4)
         assert run.meter.total_sent == run.meter.total_received
+
+    @pytest.mark.parametrize(
+        "step, digest, total",
+        [
+            ("register", "ffa4b410b730d804c3e2a1f911db2b8e356745ee9d08cf054f784b62a2f0303f", 634_262_400),
+            ("verify", "b7ecc91849bc06f0cd2191a93f89aeacd458cb92c4c1f3c48905dde0bf6b1504", 287_443_200),
+        ],
+    )
+    def test_per_host_window_bytes_pinned(self, step, digest, total):
+        """Integer bytes per host inside the window at 28 TPS on the default
+        configs; any change to heartbeat or window-edge metering shows here."""
+        from vaxledger.engine import ORDERING_HOSTS, PEER_HOSTS, run_level
+        from vaxledger.scenario import default_register_config, default_verify_config
+
+        config = default_register_config() if step == "register" else default_verify_config()
+        _, run = run_level(config, 28)
+        hosts = PEER_HOSTS + ORDERING_HOSTS + tuple(f"client-{ms}" for ms in EU_MEMBER_STATES)
+        rows = sorted(_window_bytes(run.meter, hosts).items())
+        text = ";".join(f"{host}={n}" for host, n in rows if n) + f"|{run.meter.total_sent}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert run.meter.total_sent == run.meter.total_received == total
 
     def test_request_event_count_28tps_60s(self):
         from vaxledger.engine import run_level

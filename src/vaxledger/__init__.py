@@ -29,7 +29,6 @@ from .ledger import (
     WorldState,
     apply_block,
     compute_block_hash,
-    get_record,
     rich_query,
     validate_transaction,
 )

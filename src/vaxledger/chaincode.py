@@ -36,7 +36,6 @@ __all__ = [
     "ProposalResponse",
     "VerifyResult",
     "encode_call",
-    "decode_call",
     "register_medical_center",
     "register_certificate",
     "verify_certificate",
@@ -133,22 +132,6 @@ def encode_call(name: str, args) -> bytes:
     return b"".join(parts)
 
 
-def decode_call(blob: bytes) -> tuple:
-    (name_len,) = struct.unpack_from(">H", blob, 0)
-    offset = 2
-    name = blob[offset : offset + name_len].decode()
-    offset += name_len
-    (argc,) = struct.unpack_from(">H", blob, offset)
-    offset += 2
-    args = []
-    for _ in range(argc):
-        (arg_len,) = struct.unpack_from(">I", blob, offset)
-        offset += 4
-        args.append(blob[offset : offset + arg_len])
-        offset += arg_len
-    return name, args
-
-
 def _require_caller(ctx: ChaincodeContext) -> None:
     if not ctx.caller_signature_valid:
         raise AccessDeniedError("caller signature invalid")
@@ -204,7 +187,6 @@ def register_certificate(
     ctx: ChaincodeContext,
     cert_hash: CertificateHash,
     issuer_did: str,
-    metadata: dict | None = None,
 ) -> ProposalResponse:
     """Anchor a certificate hash under the caller's namespace.
 
@@ -224,7 +206,7 @@ def register_certificate(
     key = cert_key(ctx.caller, cert_hash.hex)
     if ctx.get_state(key) is not None:
         raise AlreadyRegisteredError(f"certificate {cert_hash.hex} already registered")
-    record = make_cert_record(cert_hash.hex, ctx.caller, issuer_did, None, metadata or {})
+    record = make_cert_record(cert_hash.hex, ctx.caller, issuer_did)
     ctx.put_state(key, record)
     operation = encode_call(
         "register_certificate", [cert_hash.digest, issuer_did.encode()]

@@ -19,17 +19,17 @@ proof's own canonical encoding (scheme_id, verification_method, signature).
 
 Fixture file
 ------------
-`save_credential` / `load_credential` read and write a single credential as a
-JSON document with ``"format": "vaxledger-credential/1"``; byte fields are
-lowercase hex. The CLI ``issue``/``verify`` subcommands and the golden-vector
-tests share this schema.
+`credential_to_dict` / `credential_from_dict` map a single credential to and
+from a JSON document with ``"format": "vaxledger-credential/1"``; byte fields
+are lowercase hex. The CLI ``issue``/``verify`` subcommands, which add
+resolution hints to the document, and the golden-vector tests share this
+schema.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-import json
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -60,8 +60,6 @@ __all__ = [
     "verify_credential",
     "credential_to_dict",
     "credential_from_dict",
-    "save_credential",
-    "load_credential",
     "DEFAULT_CONTEXT",
     "ED25519",
     "HMAC_SHA256",
@@ -438,13 +436,3 @@ def credential_from_dict(doc: dict) -> VaccinationCredential:
     except (AttributeError, TypeError) as exc:
         raise CredentialError(f"malformed credential fixture: {exc}") from exc
 
-
-def save_credential(credential: VaccinationCredential, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(credential_to_dict(credential), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_credential(path) -> VaccinationCredential:
-    with open(path, "r", encoding="utf-8") as fh:
-        return credential_from_dict(json.load(fh))

@@ -6,9 +6,9 @@ ambient gossip/keepalive traffic. Its ledger starts as a fork of a
 `SetupWorld`, which the levels of one scenario share: the setup blocks of a
 level are a prefix of a larger level's, up to its final partial block, so each
 full setup block is endorsed, sealed and validated once per scenario. A fork
-gets its own chain and fresh state entries, so nothing a level writes reaches
-the setup world or another level. Registration follows
-client -> peer (REST, endorse) -> ordering (sequence, batch, seal) ->
+gets its own chain and state, sharing frozen blocks and state entries, so
+nothing a level writes reaches the setup world or another level. Registration
+follows client -> peer (REST, endorse) -> ordering (sequence, batch, seal) ->
 block fan-out -> commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response. Every started
 request gets one response; a rejected one gets an error response.
@@ -30,11 +30,12 @@ replay (the total order every peer receives) without 27 redundant state
 copies. One commit station serves all 27 peers exactly: each block reaches
 every peer at one instant and costs each the same, so their timelines agree.
 
-Query cost is charged per request as query_per_record_us times the records
-`verify_certificate` reads in the configured query mode (every entry for the
-worst-case scan, one for the exact lookup). The chaincode call runs once per
-level and is memoized: state does not change during a verify level, so every
-request's lookup costs the same.
+Every verification is a worst-case content query at the peer of
+`EU_MEMBER_STATES[0]`, charged query_per_record_us times the entries
+`verify_certificate` scans. The chaincode call runs once per level and is
+memoized: state does not change during a verify level, so every request's
+query costs the same. One query station serves the level exactly, as one
+commit station does: only one peer is ever queried.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .chaincode import (
+    WORST_CASE_SCAN,
     ChaincodeContext,
     ChaincodeError,
     MedicalCenterRecord,
@@ -103,12 +105,12 @@ class LevelMetrics:
     processed_events: int
 
 
-def build_ms_keys(scheme_id: str = HMAC_SHA256) -> dict:
+def build_ms_keys() -> dict:
     """Deterministic per-member-state endorsement key pairs."""
     keys = {}
     for ms in EU_MEMBER_STATES:
         did = generate_did("ms", ms.encode())
-        keys[ms] = generate_keypair(did, b"endorse|" + ms.encode(), scheme_id)
+        keys[ms] = generate_keypair(did, b"endorse|" + ms.encode(), HMAC_SHA256)
     return keys
 
 
@@ -225,9 +227,9 @@ class SetupWorld:
         """A new (chain, state) holding the centers and the first `total` records.
 
         The chain takes the shared frozen blocks of the full record blocks; the
-        state takes fresh copies of their entries, since `WorldState.put`
-        updates an entry in place. The final partial block is sealed and
-        validated on the fork alone.
+        state takes their frozen entries, shared too, since `WorldState.put`
+        replaces an entry rather than changing it. The final partial block is
+        sealed and validated on the fork alone.
         """
         self._grow(total)
         full = total // SETUP_BLOCK_TXS
@@ -270,14 +272,11 @@ class LevelRun:
 
         window = self.duration_us
         self.endorse_stations = {
-            ms: ServiceStation(f"endorse-{ms}", window_us=window) for ms in EU_MEMBER_STATES
+            ms: ServiceStation(f"endorse-{ms}", window) for ms in EU_MEMBER_STATES
         }
-        self.commit_station = ServiceStation("commit", window_us=window)
-        self.query_stations = {
-            ms: ServiceStation(f"query-{ms}", workers=self.profile.query_workers, window_us=window)
-            for ms in EU_MEMBER_STATES
-        }
-        self.orderer_station = ServiceStation("orderer", window_us=window)
+        self.commit_station = ServiceStation("commit", window)
+        self.query_station = ServiceStation("query", window, self.profile.query_workers)
+        self.orderer_station = ServiceStation("orderer", window)
 
         self.provisioned: list = []
         self.responses_us: list = []
@@ -508,7 +507,7 @@ class LevelRun:
         """Records one verification reads; `verify_certificate` runs once per level."""
         if self._scan_memo is None:
             ms, cert_hex = self.provisioned[-1]
-            ctx = ChaincodeContext(caller=ms, state=self.state, query_mode=self.config.query_mode)
+            ctx = ChaincodeContext(caller=ms, state=self.state, query_mode=WORST_CASE_SCAN)
             result = verify_certificate(ctx, CertificateHash.from_hex(cert_hex), issuer_ms=ms)
             if not result.found:
                 raise RuntimeError("provisioned verification target missing from state")
@@ -527,7 +526,7 @@ class LevelRun:
             self._respond(ms, self.profile.response_bytes, arrived_at)
 
         service = round(self.profile.query_per_record_us * self.scan_count())
-        at_peer = self._at_peer(self.query_stations[ms], service, query_done)
+        at_peer = self._at_peer(self.query_station, service, query_done)
         self.net.send(_client_host(ms), _peer_host(ms), self.profile.query_bytes, "query", at_peer)
 
     # ------------------------------------------------------------------
@@ -538,7 +537,6 @@ class LevelRun:
             self.level, self.config.duration_seconds, self.config.arrival_mode, self.config.seed
         )
         self.preload(schedule)
-        verify_single = self.config.step == "verify" and self.config.verify_target == "single"
         level_tag = round(float(self.level) * 1000)
         for index, at in enumerate(schedule.arrivals_us):
             if self.config.step == "register":
@@ -547,9 +545,10 @@ class LevelRun:
                 cert = CertificateHash(digest)
                 self.queue.schedule(at, lambda c=cert, m=ms, t=at: self.start_register(c, m, t))
             else:
-                ms = EU_MEMBER_STATES[0] if verify_single else EU_MEMBER_STATES[index % 27]
                 target = self.provisioned[index % len(self.provisioned)]
-                self.queue.schedule(at, lambda g=target, m=ms, t=at: self.start_verify(g, m, t))
+                self.queue.schedule(
+                    at, lambda g=target, t=at: self.start_verify(g, EU_MEMBER_STATES[0], t)
+                )
         self._book_gossip()
         self._schedule_faults()
         self.queue.run_until(self.duration_us)
@@ -572,17 +571,13 @@ class LevelRun:
             self.meter.host_kb_per_second(host) for host in ORDERING_HOSTS
         )
         busy = {
-            "endorse": max(
-                s.busy_fraction(self.duration_us) for s in self.endorse_stations.values()
-            ),
-            "commit": self.commit_station.busy_fraction(self.duration_us),
-            "query": max(
-                s.busy_fraction(self.duration_us) for s in self.query_stations.values()
-            ),
-            "orderer": self.orderer_station.busy_fraction(self.duration_us),
+            "endorse": max(s.busy_fraction() for s in self.endorse_stations.values()),
+            "commit": self.commit_station.busy_fraction(),
+            "query": self.query_station.busy_fraction(),
+            "orderer": self.orderer_station.busy_fraction(),
         }
         # λ·S/c ≥ 1 at any station; every job comes from an arrival in (0, T].
-        stations = [*self.endorse_stations.values(), *self.query_stations.values()]
+        stations = [*self.endorse_stations.values(), self.query_station]
         stations += [self.commit_station, self.orderer_station]
         saturated = self.errors > 0 or any(
             s.offered_us >= self.duration_us * len(s.free_at) for s in stations

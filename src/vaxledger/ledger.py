@@ -45,7 +45,6 @@ __all__ = [
     "compute_data_hash",
     "compute_block_hash",
     "apply_block",
-    "get_record",
     "rich_query",
     "write_snapshot",
     "chain_snapshot_lines",
@@ -91,14 +90,15 @@ def center_key(ms: str, center_id: str) -> str:
     return f"{ms}/center/{center_id}"
 
 
-def make_cert_record(cert_hex: str, ms: str, issuer_did: str, registered_at, metadata: dict) -> dict:
+def make_cert_record(cert_hex: str, ms: str, issuer_did: str) -> dict:
+    # `registered_at` and `metadata` stay in the schema, always empty.
     return {
         "doc_type": "cert",
         "cert_hash": cert_hex,
         "ms": ms,
         "issuer_did": issuer_did,
-        "registered_at": list(registered_at) if registered_at is not None else None,
-        "metadata": metadata,
+        "registered_at": None,
+        "metadata": {},
     }
 
 
@@ -185,10 +185,9 @@ def encode_transaction(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-def endorse_transaction(tx: Transaction, keypair, scheme_id: str | None = None) -> Transaction:
+def endorse_transaction(tx: Transaction, keypair) -> Transaction:
     """Return the transaction with the submitter's endorsement appended."""
-    scheme = scheme_id or keypair.scheme_id
-    sig = sign_payload(scheme, keypair.private_key, transaction_signing_payload(tx))
+    sig = sign_payload(keypair.scheme_id, keypair.private_key, transaction_signing_payload(tx))
     return replace(tx, endorsements=tx.endorsements + ((tx.submitter, sig),))
 
 
@@ -201,7 +200,6 @@ class EndorsementPolicy:
 
     roster: dict
     scheme_id: str
-    kind: str = "disjunctive-self"
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def compute_block_hash(number: int, prev_hash: bytes, data_hash: bytes) -> bytes
     return hashlib.sha256(struct.pack(">Q", number) + _lp(prev_hash) + _lp(data_hash)).digest()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StateEntry:
     value: dict
     version: tuple  # (block number, tx index)
@@ -272,7 +270,8 @@ class WorldState:
     """Versioned key-value store; insertion order defines scan order.
 
     Overwritten keys keep their original scan position, so "the last record"
-    is well defined for the worst-case content query.
+    is well defined for the worst-case content query. Entries are frozen: a
+    write replaces the entry, so states may share entries.
     """
 
     def __init__(self):
@@ -293,21 +292,14 @@ class WorldState:
         return entry.version if entry is not None else None
 
     def put(self, key: str, value: dict, version: tuple) -> None:
-        existing = self._entries.get(key)
-        if existing is not None:
-            existing.value = value
-            existing.version = version
-        else:
-            self._entries[key] = StateEntry(value=value, version=version)
+        # Assigning an existing key keeps its place in the scan order.
+        self._entries[key] = StateEntry(value, version)
 
     def copy_prefix(self, count: int) -> "WorldState":
-        """A new state holding fresh copies of the first `count` entries, so a
-        write to either state leaves the other unchanged."""
+        """A new state holding the first `count` entries; since a write
+        replaces an entry, a write to either state leaves the other unchanged."""
         copy = WorldState()
-        copy._entries = {
-            key: StateEntry(value=entry.value, version=entry.version)
-            for key, entry in itertools.islice(self._entries.items(), count)
-        }
+        copy._entries = dict(itertools.islice(self._entries.items(), count))
         return copy
 
     def entries_in_order(self):
@@ -376,11 +368,6 @@ def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy) -> l
             for key, value in tx.write_set:
                 state.put(key, value, (block.number, index))
     return flags
-
-
-def get_record(state: WorldState, key: str) -> dict | None:
-    """Exact-key lookup; constant expected cost (scan count 1)."""
-    return state.get(key)
 
 
 def rich_query(state: WorldState, predicate: dict) -> tuple:

@@ -116,18 +116,18 @@ class ServiceStation:
     `enqueue` books the earliest-available worker and returns the completion
     time; busy time inside [0, window_us] accumulates for the utilization
     report, and every job's service time into `offered_us`, the offered load
-    a capacity check compares with window × workers. Queue depth is sampled
-    implicitly via busy bookkeeping on the caller's side.
+    a capacity check compares with window × workers.
     """
 
-    def __init__(self, name: str, workers: int = 1, window_us: int | None = None):
+    def __init__(self, name: str, window_us: int, workers: int = 1):
         if workers < 1:
             raise ValueError("worker count must be >= 1")
+        if window_us <= 0:
+            raise ValueError("window must be positive")
         self.name = name
+        self.window_us = window_us
         self.free_at = [0] * workers
         self.busy_us = 0
-        self.window_us = window_us
-        self.jobs = 0
         self.offered_us = 0
 
     def enqueue(self, now: int, service_us: int) -> int:
@@ -135,19 +135,13 @@ class ServiceStation:
         start = max(now, self.free_at[worker])
         finish = start + service_us
         self.free_at[worker] = finish
-        self.jobs += 1
         self.offered_us += service_us
-        if self.window_us is None:
-            self.busy_us += service_us
-        else:
-            clipped = max(0, min(finish, self.window_us) - min(start, self.window_us))
-            self.busy_us += clipped
+        self.busy_us += max(0, min(finish, self.window_us) - min(start, self.window_us))
         return finish
 
-    def busy_fraction(self, duration_us: int) -> float:
-        if duration_us <= 0:
-            return 0.0
-        return self.busy_us / (duration_us * len(self.free_at))
+    def busy_fraction(self) -> float:
+        """Share of the window's worker time spent serving."""
+        return self.busy_us / (self.window_us * len(self.free_at))
 
 
 class BandwidthMeter:

@@ -39,7 +39,7 @@ from vaxledger.ledger import (
     endorse_transaction,
     validate_transaction,
 )
-from vaxledger.netsim import LinkParams, transit_delay
+from vaxledger.netsim import LinkParams, transit_delay, transit_delay_us
 from vaxledger.ordering import OrderingCluster, ROLES, ROLE_SIZES
 from vaxledger.scenario import default_register_config, default_verify_config
 from vaxledger.workload import (
@@ -282,6 +282,32 @@ def test_criterion_09_worst_case_query_cost():
         assert result.found
         assert result.scan_count == n, n
     print("ACCEPTANCE 9: PASS — scan_count equals N for N in {10, 1000, 10000} with newest match")
+
+
+def test_verify_levels_match_deterministic_queue_oracle(default_sweeps):
+    """D/D/c oracle: below saturation, uniform arrivals never queue at the query
+    pool, so every verification takes query transit, REST overhead, the scan
+    and response transit, in integer µs. That sum bounds each response from
+    below, so a mean equal to it proves every response equals it."""
+    _, reports = default_sweeps
+    config = default_verify_config()
+    profile, link = config.service_profile, config.link
+    fixed_us = (
+        transit_delay_us(link, profile.query_bytes)
+        + profile.rest_overhead_us
+        + transit_delay_us(link, profile.response_bytes)
+    )
+    levels = reports["verify"].levels
+    assert [m.tps for m in levels] == list(config.tps_levels)
+    for metrics in levels:
+        expected_us = fixed_us + round(profile.query_per_record_us * metrics.scan_count)
+        assert metrics.mean_response_ms == expected_us / 1000, metrics.tps
+        assert metrics.p95_response_ms == expected_us / 1000, metrics.tps
+    print(
+        f"D/D/c ORACLE: PASS — all {len(levels)} verify levels equal the closed form "
+        f"({levels[0].mean_response_ms * 1000:.0f} µs at {levels[0].tps:g} TPS to "
+        f"{levels[-1].mean_response_ms * 1000:.0f} µs at {levels[-1].tps:g} TPS)"
+    )
 
 
 # SHA-256 of report_to_csv_text for the default sweeps. With uniform arrivals

@@ -77,6 +77,12 @@ class TestConfigSchema:
             config_from_dict({"duration_seconds": 0})
         with pytest.raises(ConfigError):
             config_from_dict({"fault_schedule": [[0, "nope", 0, "down"]]})
+        for index in (0.5, 1.0, "0", True):
+            with pytest.raises(ConfigError):
+                config_from_dict({"fault_schedule": [[0.5, "sequencer", index, "down"]]})
+        for key in ("query_mode", "verify_target"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                config_from_dict({"step": "verify", key: "worst_case_scan"})
 
     def test_load_config_file(self, tmp_path):
         import json
@@ -235,23 +241,6 @@ class TestScenarioBehavior:
                 means.append(metrics.mean_response_ms)
             assert means == sorted(means), config.step
 
-    def test_verify_spread_mode(self):
-        config = default_verify_config(
-            duration_seconds=5, preloaded_records=100, verify_target="spread"
-        )
-        metrics, run = run_level(config, 27)
-        assert metrics.error_count == 0
-        active = [s for s in run.query_stations.values() if s.jobs > 0]
-        assert len(active) == 27
-
-    def test_exact_lookup_verify_level_charges_one_record(self):
-        config = default_verify_config(
-            duration_seconds=2, preloaded_records=50, query_mode="exact_lookup"
-        )
-        metrics, _ = run_level(config, 5)
-        assert metrics.scan_count == 1
-        assert metrics.error_count == 0
-
     @pytest.mark.parametrize("gap_us", [1_000, 500_000])
     def test_duplicate_registration_gets_one_error_response(self, gap_us):
         """1 ms apart, the second transaction fails MVCC validation at commit;
@@ -352,7 +341,7 @@ class TestSetupWorld:
         first.start_register(live, "FR", 0)
         first.queue.drain()
         assert first.committed == 1
-        # An overwrite updates the entry in place; the fork's entry is its own.
+        # An overwrite replaces the fork's entry; the entry it shared stays as it was.
         ms, cert_hex = first.provisioned[0]
         first.state.put(cert_key(ms, cert_hex), {"doc_type": "overwritten"}, (99, 0))
 

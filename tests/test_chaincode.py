@@ -12,7 +12,6 @@ from vaxledger.chaincode import (
     NonconformantMessageError,
     UnknownIssuerError,
     WORST_CASE_SCAN,
-    decode_call,
     encode_call,
     register_certificate,
     register_medical_center,
@@ -211,12 +210,6 @@ class TestVerifyCertificate:
 
 
 class TestCallDescriptor:
-    def test_round_trip(self):
-        blob = encode_call("register_certificate", [b"\x01\x02", "did:center:x"])
-        name, args = decode_call(blob)
-        assert name == "register_certificate"
-        assert args == [b"\x01\x02", b"did:center:x"]
-
     def test_byte_stable(self):
         a = encode_call("op", [b"x", b"y"])
         b = encode_call("op", [b"x", b"y"])

@@ -154,6 +154,22 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--config", str(config_path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"step": "register", "fault_schedule": [[0.5, "sequencer", 0.5, "down"]]},
+            {"step": "verify", "query_mode": "exact_lookup"},
+            {"step": "verify", "verify_target": "spread"},
+        ],
+    )
+    def test_rejected_config_exits_before_simulating(self, tmp_path, runner, doc):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["simulate", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert "config error:" in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_config_io_error(self, runner):
         result = runner.invoke(main, ["simulate", "--config", "missing.json"])
         assert result.exit_code == 1  # unreadable config is a config error

@@ -1,6 +1,7 @@
 """Credential construction, canonical encoding, hashing, and verification."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,6 @@ from vaxledger.credential import (
     generate_keypair,
     hash_credential,
     issue_credential,
-    load_credential,
-    save_credential,
     verify_credential,
 )
 
@@ -251,8 +250,8 @@ class TestFixtureFile:
     def test_save_load_round_trip(self, tmp_path):
         credential, _ = make_credential()
         path = tmp_path / "credential.json"
-        save_credential(credential, path)
-        assert load_credential(path) == credential
+        path.write_text(json.dumps(credential_to_dict(credential)))
+        assert credential_from_dict(json.loads(path.read_text())) == credential
 
     def test_unsupported_format_rejected(self):
         with pytest.raises(Exception):

@@ -23,7 +23,6 @@ from vaxledger.ledger import (
     compute_block_hash,
     compute_data_hash,
     endorse_transaction,
-    get_record,
     rich_query,
     validate_transaction,
     write_snapshot,
@@ -253,10 +252,10 @@ class TestQueries:
     def test_get_record(self):
         state = WorldState()
         state.put("DE/k", {"v": 1}, (0, 0))
-        assert get_record(state, "DE/k") == {"v": 1}
-        assert get_record(state, "DE/none") is None
+        assert state.get("DE/k") == {"v": 1}
+        assert state.get("DE/none") is None
         state.put("DE/k", {"v": 2}, (1, 0))
-        assert get_record(state, "DE/k") == {"v": 2}
+        assert state.get("DE/k") == {"v": 2}
 
     def test_empty_state(self):
         matches, scanned = rich_query(WorldState(), {"doc_type": "cert"})

@@ -151,7 +151,7 @@ def _residuals(profile, targets, register_config, verify_config):
             ("peer_bandwidth", target.peer_bandwidth_kb, metrics.peer_bandwidth_kb),
         ):
             residuals.append(Residual(target.step, target.tps, kind, wanted, simulated))
-        if metrics.saturated or metrics.error_count:
+        if metrics.saturated:
             instability += 2.0
         busiest = max(metrics.busy_fractions.values())
         if busiest > STABILITY_CEILING:

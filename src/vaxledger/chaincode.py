@@ -95,6 +95,8 @@ class ChaincodeContext:
 
     def __post_init__(self):
         require_member_state(self.caller)
+        if self.query_mode not in (EXACT_LOOKUP, WORST_CASE_SCAN):
+            raise ValueError(f"unknown query mode: {self.query_mode!r}")
 
     def get_state(self, key: str):
         value = self.state.get(key)

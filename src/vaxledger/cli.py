@@ -27,7 +27,6 @@ from .scenario import (
     default_verify_config,
     load_config,
 )
-from .workload import generate_arrivals
 
 EXIT_CONFIG_ERROR = 1
 EXIT_CALIBRATION_FAILURE = 2
@@ -96,7 +95,7 @@ def _run_one_request(config, start):
         marks[(event, host.rsplit("-", 1)[0])] = (at, host)
 
     run = LevelRun(config, 1, SimpleNamespace(record=record))
-    run.preload(generate_arrivals(1, config.duration_seconds, config.arrival_mode, config.seed))
+    run.preload()
     start(run)
     run.queue.drain()
     return run, marks

@@ -20,9 +20,11 @@ booked to the lead coordinator in force at its instant. The REST hop is an
 offset on the peer station's enqueue. A level is saturated if any request
 failed or any station was offered at least its capacity, λ·S/c ≥ 1.
 
-Each flow has one implementation, `start_register` or `start_verify`, which
-starts one request: `execute` calls it per arrival, the CLI once on a
-preloaded world, reading the request's milestones from the message trace.
+A level draws its arrival schedule once, when it is built, from its config
+and offered TPS; `preload` provisions one verify target per arrival. Each
+flow has one implementation, `start_register` or `start_verify`, which starts
+one request: `execute` calls it per arrival, the CLI once on a preloaded
+world, reading the request's milestones from the message trace.
 
 The canonical chain and world state are applied once, at seal time; the
 commit station models commit timing only. This keeps a single authoritative
@@ -72,7 +74,7 @@ from .netsim import (
 )
 from .ordering import ROLE_SIZES, ROLES, Envelope, OrderingCluster, seal_block
 from .scenario import ScenarioConfig
-from .workload import ArrivalSchedule, generate_arrivals
+from .workload import generate_arrivals
 
 __all__ = [
     "PEER_HOSTS", "ORDERING_HOSTS", "LevelMetrics", "LevelRun", "SetupWorld", "run_level",
@@ -100,7 +102,6 @@ class LevelMetrics:
     saturated: bool
     accepted_submissions: int
     committed_txs: int
-    block_count: int
     scan_count: int
     processed_events: int
 
@@ -247,7 +248,7 @@ class LevelRun:
     """A single (step, tps level) execution over its own simulated world.
 
     Its ledger starts as a fork of `setup`; without one, the run builds a
-    private `SetupWorld`.
+    private `SetupWorld`. `arrivals` is the level's request schedule, in µs.
     """
 
     def __init__(
@@ -265,18 +266,19 @@ class LevelRun:
         self.meter = BandwidthMeter(window_us=self.duration_us)
         self.net = MessageLayer(self.queue, config.link, self.meter, tracer)
         self.setup = setup if setup is not None else SetupWorld(config)
+        self.arrivals = generate_arrivals(
+            level, config.duration_seconds, config.arrival_mode, config.seed
+        )
 
         self.chain = Chain()
         self.state = WorldState()
         self.cluster = OrderingCluster(config.batch)
 
         window = self.duration_us
-        self.endorse_stations = {
-            ms: ServiceStation(f"endorse-{ms}", window) for ms in EU_MEMBER_STATES
-        }
-        self.commit_station = ServiceStation("commit", window)
-        self.query_station = ServiceStation("query", window, self.profile.query_workers)
-        self.orderer_station = ServiceStation("orderer", window)
+        self.endorse_stations = {ms: ServiceStation(window) for ms in EU_MEMBER_STATES}
+        self.commit_station = ServiceStation(window)
+        self.query_station = ServiceStation(window, self.profile.query_workers)
+        self.orderer_station = ServiceStation(window)
 
         self.provisioned: list = []
         self.responses_us: list = []
@@ -310,17 +312,17 @@ class LevelRun:
         """The register chaincode run on `cert` by the peer of `ms`, endorsed."""
         return self.setup.register_tx(self.state, ms, cert, self._next_tx_id())
 
-    def preload(self, schedule: ArrivalSchedule) -> None:
+    def preload(self) -> None:
         """Anchor centers and the pre-provisioned certificate population.
 
-        A verify level also provisions one distinct target record per request
-        in `schedule`. Setup happens before the measurement window: no
+        A verify level also provisions one distinct target record per arrival
+        in `self.arrivals`. Setup happens before the measurement window: no
         messages, no bandwidth, sealed directly into setup blocks so the chain
         replays cleanly from genesis. The world is a fork of the setup world.
         """
         total = self.config.preloaded_records
         if self.config.step == "verify":
-            total += len(schedule)
+            total += len(self.arrivals)
         self.chain, self.state = self.setup.fork(total)
         self.provisioned = self.setup.provisioned[:total]
 
@@ -406,10 +408,10 @@ class LevelRun:
 
     def _replicate(self, tx: Transaction, ms: str, arrived_at: int) -> None:
         """Sequencer hands the envelope to a broker; append happens on arrival."""
-        ups = [i for i, up in enumerate(self.cluster.status["broker"]) if up]
-        if not ups or not self.cluster.available:
+        if not self.cluster.available:
             self._fail_request(ms)
             return
+        ups = [i for i, up in enumerate(self.cluster.status["broker"]) if up]
         broker = ups[self._broker_rr % len(ups)]
         self._broker_rr += 1
         sequencer = self.cluster.lead_instance("sequencer")
@@ -461,7 +463,8 @@ class LevelRun:
 
     def _seal_and_fanout(self, batch: list) -> None:
         """Seal and fan out `batch`; on commit, ack each valid transaction's
-        client and send an error response for each invalid one."""
+        client and send an error response for each invalid one. Runs only
+        while the cluster is available, so a sequencer leads."""
         block, flags = self.setup.seal(self.chain, self.state, batch)
         answers = {ms: [] for ms in EU_MEMBER_STATES}
         for tx, flag in zip(block.transactions, flags):
@@ -472,8 +475,7 @@ class LevelRun:
             ms, arrived_at = self._pending_acks.pop(tx.tx_id)
             answers[ms].append((arrived_at, flag.valid))
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
-        sequencer = self.cluster.lead_instance("sequencer")
-        seq_host = f"sequencer-{sequencer if sequencer is not None else 0}"
+        seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
         commit_service = self.profile.commit_per_tx_us * len(batch)
 
         def delivered():
@@ -533,12 +535,9 @@ class LevelRun:
     # execution
 
     def execute(self) -> LevelMetrics:
-        schedule = generate_arrivals(
-            self.level, self.config.duration_seconds, self.config.arrival_mode, self.config.seed
-        )
-        self.preload(schedule)
+        self.preload()
         level_tag = round(float(self.level) * 1000)
-        for index, at in enumerate(schedule.arrivals_us):
+        for index, at in enumerate(self.arrivals):
             if self.config.step == "register":
                 ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
                 digest = hashlib.sha256(b"live-cert|%d|%d" % (level_tag, index)).digest()
@@ -554,9 +553,9 @@ class LevelRun:
         self.queue.run_until(self.duration_us)
         self._book_keepalives(self.duration_us + 1)
         self.queue.drain()
-        return self._metrics(len(schedule))
+        return self._metrics()
 
-    def _metrics(self, requests: int) -> LevelMetrics:
+    def _metrics(self) -> LevelMetrics:
         if self.responses_us:
             ordered = sorted(self.responses_us)
             mean_ms = sum(ordered) / len(ordered) / 1000.0
@@ -584,7 +583,7 @@ class LevelRun:
         )
         return LevelMetrics(
             tps=float(self.level),
-            requests=requests,
+            requests=len(self.arrivals),
             mean_response_ms=mean_ms,
             p95_response_ms=p95_ms,
             peer_bandwidth_kb=peer_kb,
@@ -594,7 +593,6 @@ class LevelRun:
             saturated=saturated,
             accepted_submissions=self.accepted,
             committed_txs=self.committed,
-            block_count=len(self.chain.blocks),
             scan_count=self._scan_memo or 0,
             processed_events=self.queue.processed,
         )

@@ -113,20 +113,8 @@ def make_center_record(center_id: str, ms: str, name: str, address: str, issuer_
     }
 
 
-# Fields a content query may reference (union of the record schemas above).
-QUERYABLE_FIELDS = frozenset(
-    {
-        "doc_type",
-        "cert_hash",
-        "ms",
-        "issuer_did",
-        "registered_at",
-        "metadata",
-        "center_id",
-        "name",
-        "address",
-    }
-)
+# Fields a content query may reference: the keys the record schemas above write.
+QUERYABLE_FIELDS = frozenset([*make_cert_record("", "", ""), *make_center_record("", "", "", "", "")])
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,11 @@ class ServiceStation:
     a capacity check compares with window × workers.
     """
 
-    def __init__(self, name: str, window_us: int, workers: int = 1):
+    def __init__(self, window_us: int, workers: int = 1):
         if workers < 1:
             raise ValueError("worker count must be >= 1")
         if window_us <= 0:
             raise ValueError("window must be positive")
-        self.name = name
         self.window_us = window_us
         self.free_at = [0] * workers
         self.busy_us = 0

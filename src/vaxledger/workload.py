@@ -17,7 +17,6 @@ __all__ = [
     "EU_POPULATION",
     "BUSIEST_MS_ANNUAL_PASSENGERS",
     "LoadDerivation",
-    "ArrivalSchedule",
     "required_registration_tps",
     "required_verification_tps",
     "display_tps",
@@ -33,8 +32,6 @@ BUSIEST_MS_ANNUAL_PASSENGERS = 3_200_000_000
 
 @dataclass(frozen=True)
 class LoadDerivation:
-    basis_count: int
-    horizon_seconds: int
     tps: Fraction
 
     @property
@@ -50,12 +47,7 @@ def required_registration_tps(
         raise ValueError("population and doses_per_person must be positive")
     if horizon_seconds <= 0:
         raise ValueError("horizon must be positive")
-    basis = population * doses_per_person
-    return LoadDerivation(
-        basis_count=basis,
-        horizon_seconds=horizon_seconds,
-        tps=Fraction(basis, horizon_seconds),
-    )
+    return LoadDerivation(tps=Fraction(population * doses_per_person, horizon_seconds))
 
 
 def required_verification_tps(annual_passengers: int, horizon_seconds: int) -> LoadDerivation:
@@ -64,11 +56,7 @@ def required_verification_tps(annual_passengers: int, horizon_seconds: int) -> L
         raise ValueError("annual_passengers must be positive")
     if horizon_seconds <= 0:
         raise ValueError("horizon must be positive")
-    return LoadDerivation(
-        basis_count=annual_passengers,
-        horizon_seconds=horizon_seconds,
-        tps=Fraction(annual_passengers, horizon_seconds),
-    )
+    return LoadDerivation(tps=Fraction(annual_passengers, horizon_seconds))
 
 
 def display_tps(tps: Fraction) -> str:
@@ -79,24 +67,13 @@ def display_tps(tps: Fraction) -> str:
     return f"≈{nearest_ten}"
 
 
-@dataclass(frozen=True)
-class ArrivalSchedule:
-    mode: str
-    tps: float
-    duration_seconds: int
-    seed: int
-    arrivals_us: tuple
-
-    def __len__(self) -> int:
-        return len(self.arrivals_us)
-
-
-def generate_arrivals(tps, duration_seconds: int, mode: str = "uniform", seed: int = 0) -> ArrivalSchedule:
-    """Arrival timestamps in microseconds over (0, duration].
+def generate_arrivals(tps, duration_seconds: int, mode: str = "uniform", seed: int = 0) -> tuple:
+    """Arrival timestamps in microseconds over (0, duration], as a sorted tuple.
 
     Uniform mode spaces round(tps*duration) arrivals exactly 1/tps apart,
     starting at 1/tps. Poisson mode draws exponential inter-arrival gaps from
-    a generator seeded with `seed`.
+    a generator seeded with `seed`. A level's `LevelRun` draws its schedule
+    with this once, from its own config and offered TPS.
     """
     rate = Fraction(tps) if not isinstance(tps, Fraction) else tps
     if rate <= 0:
@@ -106,14 +83,7 @@ def generate_arrivals(tps, duration_seconds: int, mode: str = "uniform", seed: i
     if mode == "uniform":
         count = round(rate * duration_seconds)
         step = Fraction(1_000_000, 1) / rate
-        arrivals = tuple(round(step * k) for k in range(1, count + 1))
-        return ArrivalSchedule(
-            mode=mode,
-            tps=float(rate),
-            duration_seconds=duration_seconds,
-            seed=seed,
-            arrivals_us=arrivals,
-        )
+        return tuple(round(step * k) for k in range(1, count + 1))
     if mode == "poisson":
         rng = random.Random(seed)
         horizon_us = duration_seconds * 1_000_000
@@ -125,11 +95,5 @@ def generate_arrivals(tps, duration_seconds: int, mode: str = "uniform", seed: i
             if t > horizon_us:
                 break
             arrivals.append(round(t))
-        return ArrivalSchedule(
-            mode=mode,
-            tps=float(rate),
-            duration_seconds=duration_seconds,
-            seed=seed,
-            arrivals_us=tuple(arrivals),
-        )
+        return tuple(arrivals)
     raise ValueError(f"unknown arrival mode: {mode!r}")

@@ -36,7 +36,6 @@ from vaxledger.scenario import (
     default_verify_config,
     load_config,
 )
-from vaxledger.workload import generate_arrivals
 
 
 class TestConfigSchema:
@@ -248,7 +247,7 @@ class TestScenarioBehavior:
         it at endorsement. Either way each request is answered exactly once."""
         config = default_register_config(duration_seconds=1)
         run = LevelRun(config, 1)
-        run.preload(generate_arrivals(1, 1, config.arrival_mode, config.seed))
+        run.preload()
         cert = CertificateHash(b"\x5a" * 32)
         run.queue.schedule(0, lambda: run.start_register(cert, "DE", 0))
         run.queue.schedule(gap_us, lambda: run.start_register(cert, "DE", gap_us))
@@ -261,7 +260,7 @@ class TestScenarioBehavior:
     def test_setup_still_raises_on_duplicate(self):
         config = default_register_config(duration_seconds=1)
         run = LevelRun(config, 1)
-        run.preload(generate_arrivals(1, 1, config.arrival_mode, config.seed))
+        run.preload()
         cert = CertificateHash(b"\x5b" * 32)
         run.anchor("DE", cert)
         with pytest.raises(AlreadyRegisteredError):
@@ -270,7 +269,7 @@ class TestScenarioBehavior:
     def test_unanchored_verification_is_an_answer_not_an_error(self):
         config = default_verify_config()
         run = LevelRun(config, 1)
-        run.preload(generate_arrivals(1, config.duration_seconds, config.arrival_mode, config.seed))
+        run.preload()
         run.start_verify(("DE", CertificateHash(b"\x5c" * 32).hex), "DE", 0)
         run.queue.drain()
         assert run.started == run.completed == 1
@@ -328,10 +327,9 @@ class TestSetupWorld:
 
     def test_fork_writes_reach_neither_setup_nor_next_fork(self):
         config = default_register_config(duration_seconds=1, preloaded_records=600)
-        schedule = generate_arrivals(1, 1, config.arrival_mode, config.seed)
         setup = SetupWorld(config)
         first = LevelRun(config, 1, setup=setup)
-        first.preload(schedule)
+        first.preload()
         forked_digest = first.state.digest()
         setup_digest, setup_blocks = setup.state.digest(), len(setup.chain.blocks)
         setup_tip = setup.chain.tip_hash
@@ -348,7 +346,7 @@ class TestSetupWorld:
         assert setup.state.digest() == setup_digest
         assert (len(setup.chain.blocks), setup.chain.tip_hash) == (setup_blocks, setup_tip)
         second = LevelRun(config, 1, setup=setup)
-        second.preload(schedule)
+        second.preload()
         assert second.state.digest() == forked_digest
         assert second.state.get(cert_key("DE", anchored.hex)) is None
         assert second.state.get(cert_key("FR", live.hex)) is None

@@ -208,6 +208,11 @@ class TestVerifyCertificate:
         )
         assert state.digest() == before
 
+    def test_unknown_query_mode_rejected(self):
+        """A misspelt mode would otherwise run the exact lookup and charge one record."""
+        with pytest.raises(ValueError, match="unknown query mode"):
+            ChaincodeContext(caller="DE", state=WorldState(), query_mode="worst-case-scan")
+
 
 class TestCallDescriptor:
     def test_byte_stable(self):

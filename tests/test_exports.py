@@ -1,7 +1,10 @@
-"""Every name a vaxledger module exports resolves."""
+"""Every name a vaxledger module exports resolves, and so does every call
+the benchmark's traced runs wrap."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ import vaxledger
 MODULES = sorted(
     name for _finder, name, _ispkg in pkgutil.iter_modules(vaxledger.__path__, "vaxledger.")
 )
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -17,3 +21,17 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_trace_targets_resolve():
+    """A renamed or removed target would otherwise show only in a traced
+    benchmark run, as a missing span."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.SpanRecorder()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
+    assert recorder.missing == []

@@ -88,24 +88,24 @@ class TestEventQueue:
 
 class TestServiceStation:
     def test_fifo_backlog(self):
-        station = ServiceStation("s", window_us=10_000)
+        station = ServiceStation(window_us=10_000)
         assert station.enqueue(0, 100) == 100
         assert station.enqueue(0, 100) == 200
         assert station.enqueue(150, 100) == 300
 
     def test_idle_gap(self):
-        station = ServiceStation("s", window_us=10_000)
+        station = ServiceStation(window_us=10_000)
         station.enqueue(0, 100)
         assert station.enqueue(500, 100) == 600
 
     def test_multi_worker(self):
-        station = ServiceStation("s", window_us=10_000, workers=2)
+        station = ServiceStation(window_us=10_000, workers=2)
         assert station.enqueue(0, 100) == 100
         assert station.enqueue(0, 100) == 100  # second worker
         assert station.enqueue(0, 100) == 200
 
     def test_busy_fraction_window(self):
-        station = ServiceStation("s", window_us=1000)
+        station = ServiceStation(window_us=1000)
         station.enqueue(0, 400)
         station.enqueue(900, 400)  # only 100 of it inside the window
         assert station.busy_fraction() == pytest.approx(0.5)

@@ -58,8 +58,9 @@ class TestVerificationLoad:
 
 class TestArrivals:
     def test_uniform_two_tps_three_seconds(self):
-        schedule = generate_arrivals(2, 3, "uniform")
-        assert schedule.arrivals_us == (500_000, 1_000_000, 1_500_000, 2_000_000, 2_500_000, 3_000_000)
+        assert generate_arrivals(2, 3, "uniform") == (
+            500_000, 1_000_000, 1_500_000, 2_000_000, 2_500_000, 3_000_000
+        )
 
     def test_uniform_count_28tps_60s(self):
         assert len(generate_arrivals(28, 60, "uniform")) == 1680
@@ -70,22 +71,19 @@ class TestArrivals:
     def test_reproducible(self):
         a = generate_arrivals(10, 20, "poisson", seed=7)
         b = generate_arrivals(10, 20, "poisson", seed=7)
-        assert a.arrivals_us == b.arrivals_us
-        assert a.arrivals_us != generate_arrivals(10, 20, "poisson", seed=8).arrivals_us
+        assert a == b
+        assert a != generate_arrivals(10, 20, "poisson", seed=8)
 
     def test_poisson_mean_interarrival(self):
-        schedule = generate_arrivals(10, 1000, "poisson", seed=3)
-        gaps = [
-            b - a
-            for a, b in zip((0,) + schedule.arrivals_us, schedule.arrivals_us)
-        ]
+        arrivals = generate_arrivals(10, 1000, "poisson", seed=3)
+        gaps = [b - a for a, b in zip((0,) + arrivals, arrivals)]
         mean_gap_s = sum(gaps) / len(gaps) / 1_000_000
         assert abs(mean_gap_s - 0.1) / 0.1 < 0.05
 
     def test_arrivals_sorted_within_horizon(self):
-        schedule = generate_arrivals(50, 10, "poisson", seed=11)
-        assert list(schedule.arrivals_us) == sorted(schedule.arrivals_us)
-        assert schedule.arrivals_us[-1] <= 10_000_000
+        arrivals = generate_arrivals(50, 10, "poisson", seed=11)
+        assert list(arrivals) == sorted(arrivals)
+        assert arrivals[-1] <= 10_000_000
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -89,11 +89,8 @@ def report_to_csv_text(report: MetricsReport) -> str:
 def export_csv(report: MetricsReport, path) -> None:
     """Write one row per TPS level; fixed 1-decimal precision, diff-stable."""
     text = report_to_csv_text(report)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IOError(f"cannot write report to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def render_csv_table(csv_text: str) -> str:
@@ -101,6 +98,9 @@ def render_csv_table(csv_text: str) -> str:
     rows = [line.split(",") for line in csv_text.strip().splitlines() if line]
     if not rows:
         raise ValueError("empty CSV")
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError(f"CSV line {','.join(row)!r} does not have {len(rows[0])} columns")
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for index, row in enumerate(rows):

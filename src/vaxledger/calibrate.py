@@ -20,6 +20,7 @@ ordering column is not comparable.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields, replace
 
 from .bench import run_scenario
@@ -115,8 +116,11 @@ def load_targets(path) -> list:
         for r in reader:
             if None in r.values():
                 raise CalibrationError(f"targets CSV line {reader.line_num} lacks a value")
-            rows.append(TargetRow(r["step"].strip(), float(r["tps"]),
-                                  float(r["response_time_ms"]), float(r["peer_bandwidth_kb"])))
+            try:
+                rows.append(TargetRow(r["step"].strip(), float(r["tps"]),
+                                      float(r["response_time_ms"]), float(r["peer_bandwidth_kb"])))
+            except ValueError as exc:
+                raise CalibrationError(f"targets CSV line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -127,8 +131,8 @@ def _check_targets(targets) -> None:
     for t in targets:
         if t.step not in _STEPS:
             raise CalibrationError(f"target step must be one of {_STEPS}, got {t.step!r}")
-        if min(t.tps, t.response_time_ms, t.peer_bandwidth_kb) <= 0:
-            raise CalibrationError(f"{t.step}@{t.tps:g}: tps and targets must be positive")
+        if not all(0 < v < math.inf for v in (t.tps, t.response_time_ms, t.peer_bandwidth_kb)):
+            raise CalibrationError(f"{t.step}@{t.tps:g}: tps and targets must be finite and > 0")
     have = {(t.step, t.tps) for t in targets}
     required = {("register", 1.0), ("register", 28.0), ("verify", 1.0), ("verify", 100.0)}
     missing = required - have

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .credential import DIGEST_SIZE, CertificateHash
+from .credential import CertificateHash
 from .ledger import (
     WorldState,
     cert_key,
@@ -175,13 +175,11 @@ def _find_center_by_did(ctx: ChaincodeContext, issuer_did: str):
     Only the matched center lands in the read set, creating the commit-time
     dependency that invalidates the registration if the center disappears.
     """
-    prefix = f"{ctx.caller}/center/"
     for entry in ctx.state.entries_in_order():
         value = entry.value
         if value.get("doc_type") == "center" and value.get("issuer_did") == issuer_did:
-            key = center_key(value["ms"], value["center_id"])
-            if key.startswith(prefix):
-                return key, value
+            if value["ms"] == ctx.caller:
+                return center_key(value["ms"], value["center_id"]), value
     return None, None
 
 
@@ -198,9 +196,7 @@ def register_certificate(
     """
     _require_caller(ctx)
     if not isinstance(cert_hash, CertificateHash):
-        if not isinstance(cert_hash, (bytes, bytearray)) or len(cert_hash) != DIGEST_SIZE:
-            raise NonconformantMessageError("certificate hash must be a 32-byte digest")
-        cert_hash = CertificateHash(bytes(cert_hash))
+        raise NonconformantMessageError("certificate hash must be a CertificateHash")
     center_state_key, center = _find_center_by_did(ctx, issuer_did)
     if center is None:
         raise UnknownIssuerError(f"no registered center for issuer {issuer_did}")

@@ -113,9 +113,6 @@ class DecentralizedIdentifier:
             raise ValueError(f"not a DID: {text!r}")
         return cls(method=parts[1], identifier=parts[2])
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def generate_did(method: str, seed: bytes) -> DecentralizedIdentifier:
     """Derive a DID deterministically from a seed.
@@ -217,9 +214,6 @@ class CertificateHash:
     def from_hex(cls, text: str) -> "CertificateHash":
         return cls(bytes.fromhex(text))
 
-    def __str__(self) -> str:
-        return self.hex
-
 
 @dataclass(frozen=True)
 class VaccinationCredential:
@@ -249,10 +243,6 @@ class VaccinationCredential:
             )
         if self.expiration_date <= self.issuance_date:
             raise InvalidCredentialError("expiration_date must be after issuance_date")
-
-    @property
-    def signed(self) -> bool:
-        return self.proof is not None
 
 
 def _lp(value: bytes) -> bytes:
@@ -341,14 +331,6 @@ class VerificationOutcome:
     accepted: bool
     reason: str | None = None
 
-    @classmethod
-    def ok(cls) -> "VerificationOutcome":
-        return cls(accepted=True)
-
-    @classmethod
-    def rejected(cls, reason: str) -> "VerificationOutcome":
-        return cls(accepted=False, reason=reason)
-
 
 def verify_credential(
     credential: VaccinationCredential,
@@ -364,19 +346,19 @@ def verify_credential(
     """
     entry = issuer_keys.get(credential.issuer.text)
     if entry is None:
-        return VerificationOutcome.rejected("unknown-issuer")
+        return VerificationOutcome(False, "unknown-issuer")
     scheme_id, public_key = entry
     if credential.proof is None:
-        return VerificationOutcome.rejected("signature")
+        return VerificationOutcome(False, "signature")
     if credential.proof.scheme_id != scheme_id or not verify_payload(
         scheme_id, public_key, canonicalize(credential), credential.proof.signature
     ):
-        return VerificationOutcome.rejected("signature")
+        return VerificationOutcome(False, "signature")
     if now >= credential.expiration_date:
-        return VerificationOutcome.rejected("expired")
+        return VerificationOutcome(False, "expired")
     if credential.dose_number != credential.total_doses:
-        return VerificationOutcome.rejected("incomplete-doses")
-    return VerificationOutcome.ok()
+        return VerificationOutcome(False, "incomplete-doses")
+    return VerificationOutcome(True)
 
 
 FIXTURE_FORMAT = "vaxledger-credential/1"

@@ -148,7 +148,6 @@ class SetupWorld:
         self.state = WorldState()
         self.records: list = []  # endorsed register transactions, in preload order
         self.provisioned: list = []  # (ms, cert hex) of each record
-        self._state_sizes: list = []  # entries in `state` after each block of `chain`
         self._tx_counter = 0
 
     def _next_tx_id(self) -> bytes:
@@ -189,10 +188,6 @@ class SetupWorld:
         if not all(f.valid for f in flags):
             raise RuntimeError("setup block contained invalid transactions")
 
-    def _commit_full_block(self, txs: list) -> None:
-        self.commit_setup_block(self.chain, self.state, txs)
-        self._state_sizes.append(len(self.state))
-
     def _grow(self, total: int) -> None:
         """Build the center block, if not yet built, and endorse records up to
         `total`, sealing each full block as it fills."""
@@ -213,7 +208,7 @@ class SetupWorld:
                     ),
                 )
                 center_txs.append(self._endorse(ms, response, self._next_tx_id()))
-            self._commit_full_block(center_txs)
+            self.commit_setup_block(self.chain, self.state, center_txs)
         records = self.records
         while len(records) < total:
             index = len(records)
@@ -222,22 +217,23 @@ class SetupWorld:
             records.append(self.register_tx(self.state, ms, cert, self._next_tx_id()))
             self.provisioned.append((ms, cert.hex))
             if len(records) % SETUP_BLOCK_TXS == 0:
-                self._commit_full_block(records[-SETUP_BLOCK_TXS:])
+                self.commit_setup_block(self.chain, self.state, records[-SETUP_BLOCK_TXS:])
 
     def fork(self, total: int) -> tuple:
         """A new (chain, state) holding the centers and the first `total` records.
 
         The chain takes the shared frozen blocks of the full record blocks; the
-        state takes their frozen entries, shared too, since `WorldState.put`
-        replaces an entry rather than changing it. The final partial block is
-        sealed and validated on the fork alone.
+        state takes their frozen entries, one per center and per record (each
+        writes one new key), shared too, since `WorldState.put` replaces an
+        entry rather than changing it. The final partial block is sealed and
+        validated on the fork alone.
         """
         self._grow(total)
         full = total // SETUP_BLOCK_TXS
         chain = Chain()
         for block in self.chain.blocks[: full + 1]:
             chain.append_block(block)
-        state = self.state.copy_prefix(self._state_sizes[full])
+        state = self.state.copy_prefix(len(EU_MEMBER_STATES) + full * SETUP_BLOCK_TXS)
         partial = self.records[full * SETUP_BLOCK_TXS : total]
         if partial:
             self.commit_setup_block(chain, state, partial)
@@ -290,7 +286,7 @@ class LevelRun:
         self.completed = 0
         self.not_found = 0
         self._keepalive_at = self.profile.keepalive_interval_ms * 1000
-        self._timer_armed_at: int | None = None
+        self._timer_armed_at: int | None = None  # the last batch deadline scheduled
         self._broker_rr = 0
         self._tx_counter = 0
         self._scan_memo: int | None = None
@@ -445,21 +441,12 @@ class LevelRun:
             if batch is None:
                 break
             self._seal_and_fanout(batch)
-        self._arm_timer()
-
-    def _arm_timer(self) -> None:
+        # The loop leaves no timed-out envelope, so the oldest one's deadline
+        # lies ahead; deadlines only grow, so each is scheduled once.
         deadline = self.cluster.next_timeout_deadline()
-        if deadline is None or deadline == self._timer_armed_at:
-            return
-        self._timer_armed_at = deadline
-        fire_at = max(deadline, self.queue.clock)
-
-        def fire(expected=deadline):
-            if self._timer_armed_at == expected:
-                self._timer_armed_at = None
-            self._try_cut()
-
-        self.queue.schedule(fire_at, fire)
+        if deadline is not None and deadline != self._timer_armed_at:
+            self._timer_armed_at = deadline
+            self.queue.schedule(deadline, self._try_cut)
 
     def _seal_and_fanout(self, batch: list) -> None:
         """Seal and fan out `batch`; on commit, ack each valid transaction's
@@ -552,6 +539,10 @@ class LevelRun:
         self._schedule_faults()
         self.queue.run_until(self.duration_us)
         self._book_keepalives(self.duration_us + 1)
+        self.queue.drain()
+        # An outage that outlasts the run strands its uncut envelopes: answer each.
+        for ms, _arrived_at in self._pending_acks.values():
+            self._fail_request(ms)
         self.queue.drain()
         return self._metrics()
 

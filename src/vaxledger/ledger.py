@@ -268,9 +268,6 @@ class WorldState:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def get(self, key: str) -> dict | None:
         entry = self._entries.get(key)
         return entry.value if entry is not None else None
@@ -323,8 +320,7 @@ class Chain:
             raise OutOfOrderError(
                 f"expected block {len(self.blocks)}, got {block.number}"
             )
-        expected_prev = self.tip_hash if self.blocks else ZERO_DIGEST
-        if block.prev_hash != expected_prev:
+        if block.prev_hash != self.tip_hash:
             raise BrokenChainError(f"block {block.number} does not chain to the tip")
         self.blocks.append(block)
         self.tip_hash = compute_block_hash(block.number, block.prev_hash, block.data_hash)

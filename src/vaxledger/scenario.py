@@ -10,7 +10,7 @@ it is not the output of the calibrator (`vaxledger calibrate`); see its note.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .netsim import LinkParams
 from .ordering import ROLE_SIZES, BatchConfig
@@ -173,19 +173,26 @@ def default_verify_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+# JSON values each numeric field type takes; a boolean is neither.
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+
+
 def _build_strict(cls, doc: dict, context: str):
-    allowed = {f for f in cls.__dataclass_fields__}
-    unknown = set(doc) - allowed
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name in doc and f.type in _NUMBER_TYPES:
+            value = doc[f.name]
+            if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES[f.type]):
+                raise ConfigError(f"{context} field {f.name} must be an {f.type}, got {value!r}")
     return doc
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    doc = dict(doc)
-    _build_strict(ScenarioConfig, doc, "scenario config")
+    doc = dict(_build_strict(ScenarioConfig, doc, "scenario config"))
     try:
         if "link" in doc:
             doc["link"] = LinkParams(**_build_strict(LinkParams, doc["link"], "link"))
@@ -200,17 +207,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         if "fault_schedule" in doc:
             doc["fault_schedule"] = tuple(tuple(entry) for entry in doc["fault_schedule"])
         return ScenarioConfig(**doc)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_to_dict(config: ScenarioConfig) -> dict:
-    doc = asdict(config)
-    doc["tps_levels"] = list(config.tps_levels)
-    doc["fault_schedule"] = [list(entry) for entry in config.fault_schedule]
-    return doc
 
 
 def load_config(path) -> ScenarioConfig:

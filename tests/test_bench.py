@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vaxledger.bench import (
     CSV_HEADER,
@@ -21,17 +22,17 @@ from vaxledger.calibrate import (
 from vaxledger.chaincode import AlreadyRegisteredError
 from vaxledger.credential import CertificateHash
 from vaxledger.engine import LevelRun, SetupWorld, run_level
-from vaxledger.ledger import cert_key
+from vaxledger.ledger import WorldState, apply_block, cert_key
 from vaxledger.netsim import LinkParams, transit_delay_us
-from vaxledger.ordering import BatchConfig
+from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig
 from vaxledger.scenario import (
     ConfigError,
     DEFAULT_PROFILE,
     REGISTER_TPS_LEVELS,
+    ScenarioConfig,
     ServiceTimeProfile,
     VERIFY_TPS_LEVELS,
     config_from_dict,
-    config_to_dict,
     default_register_config,
     default_verify_config,
     load_config,
@@ -41,16 +42,16 @@ from vaxledger.scenario import (
 class TestConfigSchema:
     def test_round_trip(self):
         config = default_verify_config(duration_seconds=10, seed=9)
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(dataclasses.asdict(config)) == config
 
     def test_unknown_top_level_key(self):
-        doc = config_to_dict(default_register_config())
+        doc = dataclasses.asdict(default_register_config())
         doc["unknown_knob"] = 1
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
     def test_unknown_nested_key(self):
-        doc = config_to_dict(default_register_config())
+        doc = dataclasses.asdict(default_register_config())
         doc["link"]["jitter_us"] = 5
         with pytest.raises(ConfigError):
             config_from_dict(doc)
@@ -82,12 +83,25 @@ class TestConfigSchema:
         for key in ("query_mode", "verify_target"):
             with pytest.raises(ConfigError, match="unknown key"):
                 config_from_dict({"step": "verify", key: "worst_case_scan"})
+        # Every int field takes only integers, and every float field only
+        # numbers; a boolean is neither.
+        sections = {None: ScenarioConfig, "link": LinkParams,
+                    "service_profile": ServiceTimeProfile, "batch": BatchConfig}
+        for section, cls in sections.items():
+            for f in dataclasses.fields(cls):
+                bad = {"int": (2.5, True), "float": ("5", True)}.get(f.type, ())
+                for value in bad:
+                    doc = {f.name: value} if section is None else {section: {f.name: value}}
+                    with pytest.raises(ConfigError, match=f.name):
+                        config_from_dict(doc)
+        profile = config_from_dict({"service_profile": {"endorse_ms": 5}}).service_profile
+        assert profile.endorse_ms == 5
 
     def test_load_config_file(self, tmp_path):
         import json
 
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config_to_dict(default_register_config(duration_seconds=5))))
+        path.write_text(json.dumps(dataclasses.asdict(default_register_config(duration_seconds=5))))
         assert load_config(path).duration_seconds == 5
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
@@ -284,6 +298,19 @@ class TestScenarioBehavior:
         metrics, _ = run_level(default_verify_config(duration_seconds=5), tps)
         assert metrics.saturated is saturated
 
+    def test_outage_outlasting_the_run_still_answers_every_request(self):
+        """Both sequencers fail mid-run and never recover: the envelope that
+        was appended but not yet cut gets an error response after the drain."""
+        config = default_register_config(
+            duration_seconds=1,
+            fault_schedule=((0.5, "sequencer", 0, "down"), (0.5, "sequencer", 1, "down")),
+        )
+        metrics, run = run_level(config, 28)
+        assert run.started == run.completed == 28
+        assert (run.accepted, run.committed) == (13, 12)
+        assert metrics.error_count == 16
+        assert len(run.responses_us) == 12
+
     def test_busy_fractions_reported(self, small_register_report):
         busy = small_register_report.levels[0].busy_fractions
         assert set(busy) == {"endorse", "commit", "query", "orderer"}
@@ -324,6 +351,10 @@ class TestSetupWorld:
             assert shared.chain.tip_hash == alone.chain.tip_hash, level
             assert shared.provisioned == alone.provisioned, level
             assert shared.chain.verify() and alone.chain.verify(), level
+            replay = WorldState()  # a fork's state is exactly what its blocks write
+            for block in shared.chain.blocks:
+                apply_block(replay, block, setup.policy)
+            assert replay.digest() == shared.state.digest(), level
 
     def test_fork_writes_reach_neither_setup_nor_next_fork(self):
         config = default_register_config(duration_seconds=1, preloaded_records=600)
@@ -353,6 +384,60 @@ class TestSetupWorld:
         assert len(second.chain.blocks) == setup_blocks + 1  # its own partial block
 
 
+_INSTANCES = [(role, index) for role in ROLES for index in range(ROLE_SIZES[role])]
+_FAULTS = st.lists(
+    st.tuples(
+        st.integers(0, 1200), st.sampled_from(_INSTANCES), st.sampled_from(("up", "down"))
+    ).map(lambda f: (f[0] / 1000, f[1][0], f[1][1], f[2])),
+    max_size=6,
+)
+
+
+class TestLevelInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        faults=_FAULTS,
+        step=st.sampled_from(("register", "verify")),
+        preloaded=st.integers(0, 50),
+        tps=st.integers(1, 60),
+        max_count=st.integers(1, 12),
+        timeout_ms=st.integers(1, 300),
+        arrival_mode=st.sampled_from(("uniform", "poisson")),
+    )
+    @example(
+        faults=[(0.5, "sequencer", 0, "down"), (0.5, "sequencer", 1, "down")],
+        step="register", preloaded=0, tps=28, max_count=10, timeout_ms=40,
+        arrival_mode="uniform",
+    )
+    def test_end_of_level_invariants_under_faults(
+        self, faults, step, preloaded, tps, max_count, timeout_ms, arrival_mode
+    ):
+        """Whatever the fault schedule, every started request is answered
+        once, every accepted envelope is committed, invalidated or still
+        uncut, bytes are conserved, and the chain replays to the live state."""
+        config = ScenarioConfig(
+            step=step,
+            tps_levels=(tps,),
+            duration_seconds=1,
+            batch=BatchConfig(max_message_count=max_count, batch_timeout_ms=timeout_ms),
+            fault_schedule=tuple(faults),
+            preloaded_records=preloaded if step == "verify" else 0,
+            arrival_mode=arrival_mode,
+        )
+        metrics, run = run_level(config, tps)
+        assert run.started == run.completed == len(run.responses_us) + run.errors
+        assert metrics.error_count == run.errors
+        cut = {tx.tx_id for block in run.chain.blocks for tx in block.transactions}
+        uncut = sum(e.transaction.tx_id not in cut for e in run.cluster.log)
+        assert run.accepted == run.committed + run.invalid_txs + uncut
+        assert run.meter.total_sent == run.meter.total_received
+        assert run.chain.verify()
+        replay = WorldState()
+        for block in run.chain.blocks:
+            apply_block(replay, block, run.setup.policy)
+        assert replay.digest() == run.state.digest()
+
+
 class TestCalibration:
     def test_load_targets(self):
         targets = load_targets("benchmarks/reference_targets.csv")
@@ -373,8 +458,9 @@ class TestCalibration:
         [
             ("step,tps,response_time_ms\nregister,1,84\n", "peer_bandwidth_kb"),
             ("step,tps,response_time_ms,peer_bandwidth_kb\nregister,1,84\n", "line 2"),
+            ("step,tps,response_time_ms,peer_bandwidth_kb\nregister,abc,84,395\n", "line 2"),
         ],
-        ids=["missing-column", "short-row"],
+        ids=["missing-column", "short-row", "non-numeric"],
     )
     def test_malformed_targets_csv_fail(self, tmp_path, text, message):
         path = tmp_path / "targets.csv"
@@ -388,8 +474,12 @@ class TestCalibration:
             TargetRow("Register", 4.0, 78.0, 457.0),
             TargetRow("verify", 8.0, 0.0, 495.0),
             TargetRow("register", 8.0, 87.0, -1.0),
+            TargetRow("verify", 8.0, float("nan"), 495.0),
+            TargetRow("register", 8.0, 87.0, float("inf")),
+            TargetRow("verify", float("inf"), 91.0, 394.0),
         ],
-        ids=["unknown-step", "zero-response", "negative-bandwidth"],
+        ids=["unknown-step", "zero-response", "negative-bandwidth", "nan-response",
+             "inf-bandwidth", "inf-tps"],
     )
     def test_unusable_target_fails_before_simulation(self, monkeypatch, bad_row):
         def no_simulation(*args, **kwargs):

@@ -1,5 +1,6 @@
 """CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 
 from vaxledger.cli import main
 from vaxledger.engine import run_level
-from vaxledger.scenario import config_to_dict, default_register_config
+from vaxledger.scenario import default_register_config
 
 REGISTER_TIMELINE = [
     "    0.00 ms  request submitted by client-DE",
@@ -126,7 +127,7 @@ class TestSimulate:
     def test_simulate_writes_csv(self, tmp_path, runner):
         config = default_register_config(tps_levels=(1,), duration_seconds=3)
         config_path = tmp_path / "scenario.json"
-        config_path.write_text(json.dumps(config_to_dict(config)))
+        config_path.write_text(json.dumps(dataclasses.asdict(config)))
         out_path = tmp_path / "report.csv"
         result = runner.invoke(
             main, ["simulate", "--config", str(config_path), "--out", str(out_path)]
@@ -139,7 +140,7 @@ class TestSimulate:
     def test_simulate_seed_override_and_trace(self, tmp_path, runner):
         config = default_register_config(tps_levels=(1,), duration_seconds=2)
         config_path = tmp_path / "scenario.json"
-        config_path.write_text(json.dumps(config_to_dict(config)))
+        config_path.write_text(json.dumps(dataclasses.asdict(config)))
         trace = tmp_path / "trace.ndjson"
         result = runner.invoke(
             main,
@@ -160,6 +161,7 @@ class TestSimulate:
             {"step": "register", "fault_schedule": [[0.5, "sequencer", 0.5, "down"]]},
             {"step": "verify", "query_mode": "exact_lookup"},
             {"step": "verify", "verify_target": "spread"},
+            {"tps_levels": [1], "duration_seconds": 1, "preloaded_records": 10.5},
         ],
     )
     def test_rejected_config_exits_before_simulating(self, tmp_path, runner, doc):
@@ -169,6 +171,7 @@ class TestSimulate:
         assert result.exit_code == 1
         assert "config error:" in result.output
         assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_missing_config_io_error(self, runner):
         result = runner.invoke(main, ["simulate", "--config", "missing.json"])
@@ -199,6 +202,15 @@ class TestCalibrateAndReport:
         assert result.exit_code == 0
         assert "register" in result.output
         assert "-----" in result.output
+
+    def test_report_ragged_csv_config_error(self, tmp_path, runner):
+        csv_path = tmp_path / "r.csv"
+        csv_path.write_text("a,b,c\n1,2\n")
+        result = runner.invoke(main, ["report", str(csv_path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("config error: ")
+        assert "'1,2'" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # no traceback
 
     def test_report_missing_file_io_error(self, runner):
         result = runner.invoke(main, ["report", "missing.csv"])

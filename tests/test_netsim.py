@@ -1,5 +1,6 @@
 """Transit arithmetic, event ordering, stations, and byte conservation."""
 
+import dataclasses
 import hashlib
 import io
 from fractions import Fraction
@@ -19,6 +20,7 @@ from vaxledger.netsim import (
     transit_delay_us,
 )
 from vaxledger.ledger import EU_MEMBER_STATES
+from vaxledger.ordering import BatchConfig
 
 
 class TestTransitDelay:
@@ -277,6 +279,7 @@ class TestEngineNetProperties:
 
         metrics, run = run_level(default_register_config(), 28)
         assert metrics.requests == run.started == 1680
+        assert metrics.processed_events == 14_280
 
     def test_trace_determinism(self):
         from vaxledger.engine import run_level
@@ -370,3 +373,119 @@ class TestEngineNetProperties:
                 assert record["t"] >= sent_at + config.link.latency_us
                 checked += 1
         assert checked > 50
+
+
+# Levels whose request flows the flow digests pin: every default level,
+# forked from one setup world per step as `run_scenario` forks them, and a
+# fixed set of Poisson, one-transaction-batch and faulted levels. The broker
+# flap puts a fault on the instant of request 9's proposal delivery (321,429
+# + 3,025 µs) and one on request 17's endorse finish (607,143 + 16,025 µs),
+# so a change in how those ties order shows.
+_FAULTED = dict(
+    duration_seconds=1, tps_levels=(28,), batch=BatchConfig(max_message_count=10)
+)
+FLOW_LEVELS = {
+    "sequencer-outage": (
+        dict(_FAULTED, fault_schedule=((0.5, "sequencer", 0, "down"), (0.5, "sequencer", 1, "down"))),
+        28,
+    ),
+    "broker-flap": (
+        dict(
+            _FAULTED,
+            duration_seconds=2,
+            fault_schedule=(
+                (0.324454, "broker", 0, "down"),
+                (0.4, "broker", 1, "down"),
+                (0.623168, "broker", 0, "up"),
+                (0.9, "broker", 1, "up"),
+                (1.2, "broker", 3, "down"),
+            ),
+        ),
+        28,
+    ),
+    "max-count-1": (dict(batch=BatchConfig(max_message_count=1), duration_seconds=10), 28),
+    "poisson-register": (dict(arrival_mode="poisson", duration_seconds=10), 28),
+}
+
+
+def _flow_digest(metrics, run) -> str:
+    """SHA-256 over what a level's request flows produce: responses in
+    order, every station's busy, offered and free-at times, per-host window
+    bytes, meter totals, request counters, metrics but the event count, and
+    the ledger's state digest and tip."""
+    from vaxledger.engine import ORDERING_HOSTS, PEER_HOSTS
+
+    stations = [*run.endorse_stations.values(), run.query_station]
+    stations += [run.commit_station, run.orderer_station]
+    hosts = PEER_HOSTS + ORDERING_HOSTS + tuple(f"client-{ms}" for ms in EU_MEMBER_STATES)
+    counters = (run.started, run.completed, run.errors, run.accepted, run.committed,
+                run.invalid_txs, run.not_found)
+    fields = dataclasses.asdict(metrics)
+    del fields["processed_events"]
+    parts = [
+        ",".join(map(str, run.responses_us)),
+        ";".join(f"{s.busy_us}/{s.offered_us}/{s.free_at}" for s in stations),
+        ";".join(f"{host}={n}" for host, n in _window_bytes(run.meter, hosts).items() if n),
+        f"{run.meter.total_sent}/{run.meter.total_received}",
+        repr(counters),
+        repr(sorted(fields.items())),
+        run.state.digest().hex(),
+        run.chain.tip_hash.hex(),
+    ]
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def flow_digests():
+    """Flow digest per level, keyed "<step>@<tps>" or by FLOW_LEVELS name."""
+    from vaxledger.engine import SetupWorld, run_level
+    from vaxledger.scenario import default_register_config, default_verify_config
+
+    digests = {}
+    for config in (default_register_config(), default_verify_config()):
+        setup = SetupWorld(config)
+        for level in config.tps_levels:
+            digests[f"{config.step}@{level}"] = _flow_digest(*run_level(config, level, setup=setup))
+        if config.step == "verify":
+            # A setup world depends on step, seed and profile, which these share.
+            for name, overrides, tps in (
+                ("poisson-verify", dict(arrival_mode="poisson"), 100),
+                ("faulted-verify", dict(fault_schedule=((0.2, "coordinator", 0, "down"),
+                                                        (0.5, "broker", 2, "down"))), 8),
+            ):
+                level_config = dataclasses.replace(config, **overrides)
+                digests[name] = _flow_digest(*run_level(level_config, tps, setup=setup))
+    for name, (overrides, tps) in FLOW_LEVELS.items():
+        digests[name] = _flow_digest(*run_level(default_register_config(**overrides), tps))
+    return digests
+
+
+class TestFlowEquivalence:
+    """Per-level digests of the request flows' results. Any change to when a
+    request is served, answered or metered, or to how ties order, shows here."""
+
+    PINNED = {
+        "register@1": "f15ed80c0d638b6aaa891a6a52e6f8e67308a4cf29ca6d69ec25d8f03b53bc93",
+        "register@2": "623add73e7a1c273d95d0bb612d33a23069582e435f58327e92a5d21b3fa2834",
+        "register@4": "b6e602ade81a1dd3e3114b8bf5f052689159a417d963cef175b1d6676a2de27d",
+        "register@8": "510c5df0da44510285187fde3395ef8215f8e939d663370d40045ad3fdbcc3cb",
+        "register@16": "0ef5690350d9acf6f8be6ce393e1476cc9703e3952847340e161e8f55f13e57a",
+        "register@28": "138e060b3032dc99db4bab3808b360950cc91130a61600c9e6af8d12b4c082ba",
+        "verify@1": "87f8c446c3db850d998646d51c054af812fe097b512e0de3065303a19fc7ee5d",
+        "verify@2": "551a093a0baf65cf9055f4433db02a0d573bae2dfd2b848cc9c9e980a39afbad",
+        "verify@4": "f2e9ff72e266f40a06d10d9474c8851fffd9f22ae8d6aad4b0c3849e2c19f091",
+        "verify@8": "ae560ebcd836fd14955276a2419042b6b2b92321e410a089135d82b8c707aeee",
+        "verify@16": "17079e99c363f652cdecff34245405d50a2857c6dc50daca65e5c00577d7f310",
+        "verify@28": "376b7acb6ec494d24685a9101856ecea1a6fa1fe87a52398f75de0f9fbfb1b23",
+        "verify@50": "ce80f826afddc314fd8bdbcd3677e8958fc172e45db0e916223b9b02db1fdaa8",
+        "verify@100": "aba82df88503a3b2a7f0c602654af9980b26133d5395e7bf5a6e002e69e210bf",
+        "poisson-verify": "c3c4352487035760a5c22ab60cafeb77b39b1bf5e2cb1eb566169430b141558f",
+        "faulted-verify": "3eb5113e365324a0998cb2086817bf22435ed585bf612a0b7ef5b0d1e9133433",
+        "sequencer-outage": "7c551dd87857a47936578afcb49e247efc3fcce4c5f3fdbf52f06ff5a24c9cf7",
+        "broker-flap": "80f4c969af85aa1b663d73ca102303a4caf06c0c7bfae7441d5c186a788844cb",
+        "max-count-1": "733f7b431f1b97831c966c1d62e3be6bffd279542fedcfe1fe3593049b3fb407",
+        "poisson-register": "1812e79690c791048a91dff4e4b57be1c5fa28a135a175286082d47b3bb80912",
+    }
+
+    def test_flow_digests_pinned(self, flow_digests):
+        assert flow_digests == self.PINNED

@@ -13,7 +13,11 @@ block fan-out -> commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response. Every started
 request gets one response; a rejected one gets an error response.
 
-The event queue holds only request-flow events, batch timers and faults.
+The event queue holds only callbacks that touch state other requests share:
+a station reached out of arrival order, the ordering cluster, the ledger
+state, a fault. A hop whose delivery touches none is booked when it is sent,
+not dispatched, and a verification, which shares only the FIFO query pool,
+is served with no event at all (Lindley's recursion).
 Heartbeats enter no station, so their bytes go straight into the meter:
 gossip when the level is scheduled, keepalives between faults, each tick
 booked to the lead coordinator in force at its instant. The REST hop is an
@@ -23,8 +27,8 @@ failed or any station was offered at least its capacity, λ·S/c ≥ 1.
 A level draws its arrival schedule once, when it is built, from its config
 and offered TPS; `preload` provisions one verify target per arrival. Each
 flow has one implementation, `start_register` or `start_verify`, which starts
-one request: `execute` calls it per arrival, the CLI once on a preloaded
-world, reading the request's milestones from the message trace.
+one request: `execute` calls it per arrival in arrival order, the CLI once
+on a preloaded world, reading the request's milestones from the message trace.
 
 The canonical chain and world state are applied once, at seal time; the
 commit station models commit timing only. This keeps a single authoritative
@@ -368,6 +372,17 @@ class LevelRun:
     def start_register(self, cert: CertificateHash, ms: str, arrived_at: int) -> None:
         """Client at `ms` asks its peer to anchor `cert`; the request arrived at `arrived_at`."""
         self.started += 1
+        delivery = self.net.post(
+            _client_host(ms), _peer_host(ms), self.profile.proposal_bytes, "proposal", arrived_at
+        )
+        # Three defaults, not a four-cell closure: one such callback per request waits from
+        # the level's start, and CPython keeps freed four-tuples on a free list.
+        self.queue.schedule(delivery, lambda c=cert, m=ms, t=arrived_at: self._at_endorser(c, m, t))
+
+    def _at_endorser(self, cert: CertificateHash, ms: str, arrived_at: int) -> None:
+        """The proposal at its peer: REST overhead, then endorse station service.
+        Every enqueue on an endorse station carries the same offset, so its
+        order holds."""
         peer = _peer_host(ms)
 
         def endorsed():
@@ -390,17 +405,9 @@ class LevelRun:
 
             self.net.send(peer, seq_host, self.profile.envelope_bytes, "envelope", at_sequencer)
 
-        at_peer = self._at_peer(self.endorse_stations[ms], self.profile.endorse_us, endorsed)
-        self.net.send(_client_host(ms), peer, self.profile.proposal_bytes, "proposal", at_peer)
-
-    def _at_peer(self, station: ServiceStation, service_us: int, then):
-        """A request's delivery at its peer: REST overhead, `station` service, `then()`.
-        Every enqueue on a peer station carries the same offset, so its order holds."""
-        def arrived():
-            at = self.queue.clock + self.profile.rest_overhead_us
-            self.queue.schedule(station.enqueue(at, service_us), then)
-
-        return arrived
+        at = self.queue.clock + self.profile.rest_overhead_us
+        finish = self.endorse_stations[ms].enqueue(at, self.profile.endorse_us)
+        self.queue.schedule(finish, endorsed)
 
     def _replicate(self, tx: Transaction, ms: str, arrived_at: int) -> None:
         """Sequencer hands the envelope to a broker; append happens on arrival."""
@@ -431,7 +438,7 @@ class LevelRun:
 
     def _fail_request(self, ms: str) -> None:
         self.errors += 1
-        self._respond(ms, self.profile.endorsement_bytes, None)
+        self._respond(ms, self.profile.endorsement_bytes, None, self.queue.clock)
 
     def _try_cut(self) -> None:
         if not self.cluster.available:
@@ -470,24 +477,23 @@ class LevelRun:
             self.queue.schedule(finish, committed)
 
         def committed():
+            now = self.queue.clock
             for ms, entries in answers.items():
                 for arrived_at, valid in entries:
                     if valid:
-                        self._respond(ms, self.profile.endorsement_bytes, arrived_at)
+                        self._respond(ms, self.profile.endorsement_bytes, arrived_at, now)
                     else:
                         self._fail_request(ms)
 
         self.net.send(seq_host, PEER_HOSTS, block_bytes, "block", delivered)
 
-    def _respond(self, ms: str, size: int, arrived_at: int | None) -> None:
-        """Peer `ms` answers its client. A request that arrived at `arrived_at`
+    def _respond(self, ms: str, size: int, arrived_at: int | None, at: int) -> None:
+        """Peer `ms` answers its client at `at`. A request that arrived at `arrived_at`
         has its response time end on delivery; a failed one (None) has none."""
-        def done():
-            self.completed += 1
-            if arrived_at is not None:
-                self.responses_us.append(self.queue.clock - arrived_at)
-
-        self.net.send(_peer_host(ms), _client_host(ms), size, "response", done)
+        delivery = self.net.post(_peer_host(ms), _client_host(ms), size, "response", at)
+        self.completed += 1
+        if arrived_at is not None:
+            self.responses_us.append(delivery - arrived_at)
 
     # ------------------------------------------------------------------
     # verify flow
@@ -505,45 +511,42 @@ class LevelRun:
 
     def start_verify(self, target: tuple, ms: str, arrived_at: int) -> None:
         """Client at `ms` asks its peer whether `target` = (record ms, cert hex)
-        is anchored; the request arrived at `arrived_at`."""
+        is anchored; the request arrived at `arrived_at`. Every query enters the
+        pool after one offset, so requests started in arrival order are served FIFO."""
         self.started += 1
         record_ms, cert_hex = target
-
-        def query_done():
-            if self.state.get(cert_key(record_ms, cert_hex)) is None:
-                self.not_found += 1
-            self._respond(ms, self.profile.response_bytes, arrived_at)
-
+        delivery = self.net.post(
+            _client_host(ms), _peer_host(ms), self.profile.query_bytes, "query", arrived_at
+        )
         service = round(self.profile.query_per_record_us * self.scan_count())
-        at_peer = self._at_peer(self.query_station, service, query_done)
-        self.net.send(_client_host(ms), _peer_host(ms), self.profile.query_bytes, "query", at_peer)
+        finish = self.query_station.enqueue(delivery + self.profile.rest_overhead_us, service)
+        if self.state.get(cert_key(record_ms, cert_hex)) is None:
+            self.not_found += 1
+        self._respond(ms, self.profile.response_bytes, arrived_at, finish)
 
     # ------------------------------------------------------------------
     # execution
 
     def execute(self) -> LevelMetrics:
         self.preload()
+        # Faults go first, so that a fault orders before any request event at its instant.
+        self._schedule_faults()
         level_tag = round(float(self.level) * 1000)
         for index, at in enumerate(self.arrivals):
             if self.config.step == "register":
                 ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
                 digest = hashlib.sha256(b"live-cert|%d|%d" % (level_tag, index)).digest()
-                cert = CertificateHash(digest)
-                self.queue.schedule(at, lambda c=cert, m=ms, t=at: self.start_register(c, m, t))
+                self.start_register(CertificateHash(digest), ms, at)
             else:
                 target = self.provisioned[index % len(self.provisioned)]
-                self.queue.schedule(
-                    at, lambda g=target, t=at: self.start_verify(g, EU_MEMBER_STATES[0], t)
-                )
+                self.start_verify(target, EU_MEMBER_STATES[0], at)
         self._book_gossip()
-        self._schedule_faults()
         self.queue.run_until(self.duration_us)
         self._book_keepalives(self.duration_us + 1)
         self.queue.drain()
         # An outage that outlasts the run strands its uncut envelopes: answer each.
         for ms, _arrived_at in self._pending_acks.values():
             self._fail_request(ms)
-        self.queue.drain()
         return self._metrics()
 
     def _metrics(self) -> LevelMetrics:

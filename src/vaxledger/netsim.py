@@ -240,3 +240,12 @@ class MessageLayer:
         self.meter.on_send(src, wire_size, at, step, count)
         self.meter.on_receive(dst, wire_size, delivery, step, count)
         return delivery
+
+    def post(self, src: str, dst: str, size: int, kind: str, at: int) -> int:
+        """`book` one message sent at `at` and trace both of its ends; returns its delivery time."""
+        delivery = self.book(src, dst, size, at, 1, 1)
+        if self.tracer is not None:
+            wire_size = size + self.link.tls_overhead_bytes
+            self.tracer.record(at, f"send:{kind}", src, wire_size)
+            self.tracer.record(delivery, f"recv:{kind}", dst, wire_size)
+        return delivery

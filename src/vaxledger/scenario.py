@@ -10,6 +10,7 @@ it is not the output of the calibrator (`vaxledger calibrate`); see its note.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .netsim import LinkParams
@@ -66,12 +67,12 @@ class ServiceTimeProfile:
     query_workers: int = 18
 
     def __post_init__(self):
-        # Durations (float fields) may be zero; sizes, intervals and the pool
-        # width (int fields) count at least one.
+        # Durations (float fields) are finite and may be zero; sizes,
+        # intervals and the pool width (int fields) count at least one.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and value < 0:
-                raise ConfigError(f"{f.name} must be non-negative")
+            if f.type == "float" and not 0 <= value < math.inf:
+                raise ConfigError(f"{f.name} must be non-negative and finite, got {value!r}")
             if f.type == "int" and value < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
 
@@ -133,8 +134,8 @@ class ScenarioConfig:
             raise ConfigError(f"step must be one of {_STEPS}, got {self.step!r}")
         if not self.tps_levels:
             raise ConfigError("tps_levels must be non-empty")
-        if any(level <= 0 for level in self.tps_levels):
-            raise ConfigError("tps_levels must be positive")
+        if not all(0 < level < math.inf for level in self.tps_levels):
+            raise ConfigError("tps_levels must be positive and finite")
         if self.duration_seconds <= 0:
             raise ConfigError("duration_seconds must be positive")
         if self.arrival_mode not in _ARRIVAL_MODES:
@@ -153,8 +154,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{role} index {index} out of range")
             if status not in ("up", "down"):
                 raise ConfigError("fault status must be 'up' or 'down'")
-            if at < 0:
-                raise ConfigError("fault time must be non-negative")
+            if not 0 <= at < math.inf:
+                raise ConfigError("fault time must be non-negative and finite")
 
 
 def default_register_config(**overrides) -> ScenarioConfig:

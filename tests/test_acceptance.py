@@ -8,6 +8,7 @@ determinism criterion repeats them from scratch and compares bytes.
 import hashlib
 import itertools
 import random
+import statistics
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from vaxledger.ledger import (
 )
 from vaxledger.netsim import LinkParams, transit_delay, transit_delay_us
 from vaxledger.ordering import OrderingCluster, ROLES, ROLE_SIZES
-from vaxledger.scenario import default_register_config, default_verify_config
+from vaxledger.scenario import DEFAULT_PROFILE, default_register_config, default_verify_config
 from vaxledger.workload import (
     SECONDS_PER_YEAR,
     required_registration_tps,
@@ -307,6 +308,47 @@ def test_verify_levels_match_deterministic_queue_oracle(default_sweeps):
         f"D/D/c ORACLE: PASS — all {len(levels)} verify levels equal the closed form "
         f"({levels[0].mean_response_ms * 1000:.0f} µs at {levels[0].tps:g} TPS to "
         f"{levels[-1].mean_response_ms * 1000:.0f} µs at {levels[-1].tps:g} TPS)"
+    )
+
+
+def test_verify_md1_mean_wait_matches_pollaczek_khinchine():
+    """M/D/1 oracle: with one query worker, Poisson arrivals at rate λ and
+    scan time S, the mean wait in the query pool (response less both
+    transits, the REST overhead and S) is ρS/(2(1−ρ)), ρ = λS. Pooled over
+    four seeds at ρ ≈ 0.5, it must fall within four standard errors, taken
+    from the means of ten consecutive batches of each seed's requests."""
+    tps, batches = 1000, 10
+    profile = replace(DEFAULT_PROFILE, query_workers=1, query_per_record_us=1 / 6)
+    deviations, batch_means, expected = [], [], []
+    for seed in range(1, 5):
+        config = default_verify_config(
+            tps_levels=(tps,), duration_seconds=3, preloaded_records=0,
+            arrival_mode="poisson", seed=seed, service_profile=profile,
+        )
+        metrics, run = run_level(config, tps)
+        service_us = round(profile.query_per_record_us * metrics.scan_count)
+        rho = tps * service_us / 1_000_000
+        fixed_us = (
+            transit_delay_us(config.link, profile.query_bytes) + profile.rest_overhead_us
+            + service_us + transit_delay_us(config.link, profile.response_bytes)
+        )
+        pk_wait = rho * service_us / (2 * (1 - rho))
+        waits = [response - fixed_us for response in run.responses_us]  # in arrival order
+        assert min(waits) >= 0 and 0.45 < rho < 0.55, seed
+        n = len(waits)
+        for b in range(batches):
+            batch = waits[b * n // batches : (b + 1) * n // batches]
+            batch_means.append(statistics.mean(batch) - pk_wait)
+        deviations += [wait - pk_wait for wait in waits]
+        expected.append(pk_wait)
+    error = statistics.stdev(batch_means) / len(batch_means) ** 0.5
+    pk_mean, deviation = statistics.mean(expected), statistics.mean(deviations)
+    # The band is narrow enough to tell M/D/1 from M/M/1, whose mean wait is twice as long.
+    assert 4 * error < pk_mean / 4
+    assert abs(deviation) <= 4 * error
+    print(
+        f"M/D/1 ORACLE: PASS — mean wait {deviation:+.1f} µs off Pollaczek–Khinchine "
+        f"(about {pk_mean:.0f} µs), standard error {error:.1f} µs"
     )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -94,6 +95,14 @@ class TestConfigSchema:
                     doc = {f.name: value} if section is None else {section: {f.name: value}}
                     with pytest.raises(ConfigError, match=f.name):
                         config_from_dict(doc)
+        # Python's json reads Infinity and NaN; neither is a usable number.
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="endorse_ms"):
+                config_from_dict({"service_profile": {"endorse_ms": value}})
+            with pytest.raises(ConfigError, match="tps_levels"):
+                config_from_dict({"tps_levels": [1, value]})
+            with pytest.raises(ConfigError, match="fault time"):
+                config_from_dict({"fault_schedule": [[value, "sequencer", 0, "down"]]})
         profile = config_from_dict({"service_profile": {"endorse_ms": 5}}).service_profile
         assert profile.endorse_ms == 5
 
@@ -393,6 +402,23 @@ _FAULTS = st.lists(
 )
 
 
+def _assert_level_invariants(metrics, run):
+    """Every started request is answered once, every accepted envelope is
+    committed, invalidated or still uncut, bytes are conserved, and the
+    chain replays to the live state."""
+    assert run.started == run.completed == len(run.responses_us) + run.errors
+    assert metrics.error_count == run.errors
+    cut = {tx.tx_id for block in run.chain.blocks for tx in block.transactions}
+    uncut = sum(e.transaction.tx_id not in cut for e in run.cluster.log)
+    assert run.accepted == run.committed + run.invalid_txs + uncut
+    assert run.meter.total_sent == run.meter.total_received
+    assert run.chain.verify()
+    replay = WorldState()
+    for block in run.chain.blocks:
+        apply_block(replay, block, run.setup.policy)
+    assert replay.digest() == run.state.digest()
+
+
 class TestLevelInvariants:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -412,9 +438,7 @@ class TestLevelInvariants:
     def test_end_of_level_invariants_under_faults(
         self, faults, step, preloaded, tps, max_count, timeout_ms, arrival_mode
     ):
-        """Whatever the fault schedule, every started request is answered
-        once, every accepted envelope is committed, invalidated or still
-        uncut, bytes are conserved, and the chain replays to the live state."""
+        """The invariants hold whatever the fault schedule."""
         config = ScenarioConfig(
             step=step,
             tps_levels=(tps,),
@@ -424,18 +448,32 @@ class TestLevelInvariants:
             preloaded_records=preloaded if step == "verify" else 0,
             arrival_mode=arrival_mode,
         )
-        metrics, run = run_level(config, tps)
-        assert run.started == run.completed == len(run.responses_us) + run.errors
-        assert metrics.error_count == run.errors
-        cut = {tx.tx_id for block in run.chain.blocks for tx in block.transactions}
-        uncut = sum(e.transaction.tx_id not in cut for e in run.cluster.log)
-        assert run.accepted == run.committed + run.invalid_txs + uncut
-        assert run.meter.total_sent == run.meter.total_received
-        assert run.chain.verify()
-        replay = WorldState()
-        for block in run.chain.blocks:
-            apply_block(replay, block, run.setup.policy)
-        assert replay.digest() == run.state.digest()
+        _assert_level_invariants(*run_level(config, tps))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        faults=_FAULTS,
+        step=st.sampled_from(("register", "verify")),
+        preloaded=st.integers(0, 560),
+        levels=st.lists(st.integers(1, 60), min_size=2, max_size=4, unique=True),
+        arrival_mode=st.sampled_from(("uniform", "poisson")),
+    )
+    def test_invariants_hold_on_levels_forked_from_one_setup(
+        self, faults, step, preloaded, levels, arrival_mode
+    ):
+        """Levels forked from one setup world, in a drawn order, each keep the
+        invariants; a verify world may cross a setup block boundary."""
+        config = ScenarioConfig(
+            step=step,
+            tps_levels=tuple(levels),
+            duration_seconds=1,
+            fault_schedule=tuple(faults),
+            preloaded_records=preloaded if step == "verify" else 0,
+            arrival_mode=arrival_mode,
+        )
+        setup = SetupWorld(config)
+        for level in levels:
+            _assert_level_invariants(*run_level(config, level, setup=setup))
 
 
 class TestCalibration:

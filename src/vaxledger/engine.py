@@ -68,6 +68,7 @@ from .ledger import (
     apply_block,
     cert_key,
     endorse_transaction,
+    transaction_signing_payload,
 )
 from .netsim import (
     BandwidthMeter,
@@ -179,10 +180,17 @@ class SetupWorld:
         return self._endorse(ms, register_certificate(ctx, cert, self.center_dids[ms]), tx_id)
 
     def seal(self, chain: Chain, state: WorldState, batch: list) -> tuple:
-        """Seal a batch onto `chain` and apply it to `state`; returns (block, validity flags)."""
-        block = seal_block(batch, chain.tip, self.sealer_key)
+        """Seal a batch onto `chain` and apply it to `state`; returns (block, validity flags).
+
+        Each transaction's signing payload is encoded once, from its fields,
+        for both the data hash and the endorsement check; the endorser's
+        bytes are never reused, so a transaction changed after endorsement
+        fails validation.
+        """
+        payloads = [transaction_signing_payload(envelope.transaction) for envelope in batch]
+        block = seal_block(batch, chain.tip, self.sealer_key, payloads=payloads)
         chain.append_block(block)
-        return block, apply_block(state, block, self.policy)
+        return block, apply_block(state, block, self.policy, payloads=payloads)
 
     def commit_setup_block(self, chain: Chain, state: WorldState, txs: list) -> None:
         """Seal `txs` onto `chain` as one setup block; each must validate."""

@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
 
@@ -117,7 +117,7 @@ def make_center_record(center_id: str, ms: str, name: str, address: str, issuer_
 QUERYABLE_FIELDS = frozenset([*make_cert_record("", "", ""), *make_center_record("", "", "", "", "")])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """An endorsed state change proposed by one member state.
 
@@ -139,13 +139,10 @@ class Transaction:
         require_member_state(self.submitter)
 
 
-def _encode_version(version) -> bytes:
-    if version is None:
-        return b"\xff"
-    return b"\x01" + struct.pack(">II", version[0], version[1])
-
-
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_U32 = struct.Struct(">I").pack
+_VERSION = struct.Struct(">BII").pack  # a read version present: 0x01, block, tx index
+_ABSENT = b"\xff"  # a key read as absent
 
 
 def _encode_value(value: dict) -> bytes:
@@ -153,30 +150,53 @@ def _encode_value(value: dict) -> bytes:
 
 
 def transaction_signing_payload(tx: Transaction) -> bytes:
-    """Canonical bytes an endorsement signature covers (endorsements excluded)."""
-    parts = [_lp(tx.tx_id), _lp(tx.submitter.encode()), _lp(tx.operation)]
-    parts.append(struct.pack(">I", len(tx.read_set)))
+    """Canonical bytes an endorsement signature covers (endorsements excluded).
+
+    Every byte string is length-prefixed (big-endian u32); each read set
+    entry is followed by its version, and each write set entry's record is
+    canonical JSON.
+    """
+    submitter = tx.submitter.encode()
+    parts = [
+        _U32(len(tx.tx_id)), tx.tx_id, _U32(len(submitter)), submitter,
+        _U32(len(tx.operation)), tx.operation, _U32(len(tx.read_set)),
+    ]
     for key, version in tx.read_set:
-        parts.append(_lp(key.encode()) + _encode_version(version))
-    parts.append(struct.pack(">I", len(tx.write_set)))
+        key = key.encode()
+        parts += (_U32(len(key)), key, _ABSENT if version is None else _VERSION(1, *version))
+    parts.append(_U32(len(tx.write_set)))
     for key, value in tx.write_set:
-        parts.append(_lp(key.encode()) + _lp(_encode_value(value)))
+        key, value = key.encode(), _encode_value(value)
+        parts += (_U32(len(key)), key, _U32(len(value)), value)
     return b"".join(parts)
 
 
-def encode_transaction(tx: Transaction) -> bytes:
-    """Full canonical encoding, endorsements included (hashed into blocks)."""
-    parts = [transaction_signing_payload(tx), struct.pack(">I", len(tx.endorsements))]
+def encode_transaction(tx: Transaction, signing_payload: bytes | None = None) -> bytes:
+    """Full canonical encoding, endorsements included (hashed into blocks).
+
+    `signing_payload`, if given, must be `transaction_signing_payload(tx)`.
+    """
+    if signing_payload is None:
+        signing_payload = transaction_signing_payload(tx)
+    parts = [signing_payload, _U32(len(tx.endorsements))]
     for ms, signature in tx.endorsements:
         parts.append(_lp(ms.encode()) + _lp(signature))
-    parts.append(struct.pack(">I", tx.payload_size))
+    parts.append(_U32(tx.payload_size))
     return b"".join(parts)
 
 
 def endorse_transaction(tx: Transaction, keypair) -> Transaction:
     """Return the transaction with the submitter's endorsement appended."""
     sig = sign_payload(keypair.scheme_id, keypair.private_key, transaction_signing_payload(tx))
-    return replace(tx, endorsements=tx.endorsements + ((tx.submitter, sig),))
+    return Transaction(
+        tx_id=tx.tx_id,
+        submitter=tx.submitter,
+        operation=tx.operation,
+        read_set=tx.read_set,
+        write_set=tx.write_set,
+        endorsements=tx.endorsements + ((tx.submitter, sig),),
+        payload_size=tx.payload_size,
+    )
 
 
 @dataclass(frozen=True)
@@ -201,12 +221,17 @@ class ValidationResult:
 ValidationResult.VALID = ValidationResult(valid=True)
 
 
-def validate_transaction(tx: Transaction, policy: EndorsementPolicy, state: "WorldState") -> ValidationResult:
+def validate_transaction(
+    tx: Transaction, policy: EndorsementPolicy, state: "WorldState", payload: bytes | None = None
+) -> ValidationResult:
     """Policy, namespace, and MVCC checks, reported in that order.
 
     Returns Valid only when (a) the transaction bears a valid endorsement
     signature from its submitter, (b) every written key lies inside the
     submitter's namespace, and (c) every read version still matches the state.
+    `payload`, if given, must be `transaction_signing_payload(tx)` computed by
+    the committer from the transaction's fields, never the endorser's bytes:
+    the signature is checked against what the block holds.
     """
     if not policy.roster:
         raise ValueError("policy roster must be non-empty")
@@ -214,7 +239,9 @@ def validate_transaction(tx: Transaction, policy: EndorsementPolicy, state: "Wor
     signature = next((sig for ms, sig in tx.endorsements if ms == tx.submitter), None)
     if public_key is None or signature is None:
         return ValidationResult(valid=False, reason="bad-signature")
-    if not verify_payload(policy.scheme_id, public_key, transaction_signing_payload(tx), signature):
+    if payload is None:
+        payload = transaction_signing_payload(tx)
+    if not verify_payload(policy.scheme_id, public_key, payload, signature):
         return ValidationResult(valid=False, reason="bad-signature")
     prefix = tx.submitter + "/"
     for key, _value in tx.write_set:
@@ -236,10 +263,14 @@ class Block:
     sealer_signature: bytes = b""
 
 
-def compute_data_hash(transactions) -> bytes:
+def compute_data_hash(transactions, payloads=None) -> bytes:
+    """Digest over the block's transaction encodings; `payloads`, if given,
+    holds each transaction's `transaction_signing_payload`, in order."""
+    if payloads is None:
+        payloads = map(transaction_signing_payload, transactions)
     h = hashlib.sha256()
-    for tx in transactions:
-        h.update(_lp(encode_transaction(tx)))
+    for tx, payload in zip(transactions, payloads):
+        h.update(_lp(encode_transaction(tx, payload)))
     return h.digest()
 
 
@@ -337,16 +368,19 @@ class Chain:
         return prev == self.tip_hash
 
 
-def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy) -> list:
+def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy, payloads=None) -> list:
     """Validate and apply a committed block's transactions in order.
 
     Valid transactions' writes land with version (block number, tx index);
     invalid ones stay in the block but leave state untouched. Returns the
-    per-transaction ValidationResult list.
+    per-transaction ValidationResult list. `payloads`, if given, holds each
+    transaction's signing payload as `validate_transaction` takes it.
     """
+    if payloads is None:
+        payloads = itertools.repeat(None)
     flags = []
-    for index, tx in enumerate(block.transactions):
-        result = validate_transaction(tx, policy, state)
+    for index, (tx, payload) in enumerate(zip(block.transactions, payloads)):
+        result = validate_transaction(tx, policy, state, payload)
         flags.append(result)
         if result.valid:
             for key, value in tx.write_set:

@@ -130,10 +130,11 @@ class ServiceStation:
         self.offered_us = 0
 
     def enqueue(self, now: int, service_us: int) -> int:
-        worker = min(range(len(self.free_at)), key=lambda i: self.free_at[i])
-        start = max(now, self.free_at[worker])
+        free_at = self.free_at
+        worker = free_at.index(min(free_at))  # the first earliest-free worker
+        start = max(now, free_at[worker])
         finish = start + service_us
-        self.free_at[worker] = finish
+        free_at[worker] = finish
         self.offered_us += service_us
         self.busy_us += max(0, min(finish, self.window_us) - min(start, self.window_us))
         return finish

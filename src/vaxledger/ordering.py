@@ -129,13 +129,19 @@ class OrderingCluster:
         return log[start:stop]
 
 
-def seal_block(batch: list[Envelope], prev_tip: tuple, sealer_key: KeyPair) -> Block:
-    """Seal a batch into the next block after `prev_tip` = (number, digest)."""
+def seal_block(
+    batch: list[Envelope], prev_tip: tuple, sealer_key: KeyPair, payloads=None
+) -> Block:
+    """Seal a batch into the next block after `prev_tip` = (number, digest).
+
+    `payloads`, if given, holds each transaction's signing payload, in order
+    (see `compute_data_hash`).
+    """
     if not batch:
         raise ValueError("cannot seal an empty batch")
     prev_number, prev_digest = prev_tip
     transactions = tuple(envelope.transaction for envelope in batch)
-    data_hash = compute_data_hash(transactions)
+    data_hash = compute_data_hash(transactions, payloads)
     number = prev_number + 1
     header_hash = compute_block_hash(number, prev_digest, data_hash)
     signature = sign_payload(sealer_key.scheme_id, sealer_key.private_key, header_hash)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +24,10 @@ from vaxledger.calibrate import (
 from vaxledger.chaincode import AlreadyRegisteredError
 from vaxledger.credential import CertificateHash
 from vaxledger.engine import LevelRun, SetupWorld, run_level
-from vaxledger.ledger import WorldState, apply_block, cert_key
+from vaxledger import ledger
+from vaxledger.ledger import WorldState, apply_block, cert_key, compute_data_hash
 from vaxledger.netsim import LinkParams, transit_delay_us
-from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig
+from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig, Envelope
 from vaxledger.scenario import (
     ConfigError,
     DEFAULT_PROFILE,
@@ -391,6 +393,77 @@ class TestSetupWorld:
         assert second.state.get(cert_key("DE", anchored.hex)) is None
         assert second.state.get(cert_key("FR", live.hex)) is None
         assert len(second.chain.blocks) == setup_blocks + 1  # its own partial block
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of `module.name` through every vaxledger module that
+    binds it; returns the list of each call's positional arguments."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded_name, loaded in list(sys.modules.items()):
+        if loaded_name.startswith("vaxledger") and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
+
+
+class TestSealEncodesOnce:
+    """`SetupWorld.seal` encodes each transaction's signing payload once, for
+    the data hash and the endorsement check, and recomputes it from the
+    transaction rather than reusing the endorser's bytes."""
+
+    @staticmethod
+    def _world():
+        setup = SetupWorld(default_register_config())
+        chain, state = setup.fork(0)  # the center block only
+        return setup, chain, state
+
+    def test_block_of_n_encodes_n_payloads(self, monkeypatch):
+        setup, chain, state = self._world()
+        txs = [
+            setup.register_tx(
+                state, ms, CertificateHash(bytes([i]) * 32), b"seal-%02d" % i + b"\0" * 8
+            )
+            for i, ms in enumerate(("AT", "FR", "DE", "AT", "NL"))
+        ]
+        calls = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
+        block, flags = setup.seal(chain, state, [Envelope(tx, 0, 0) for tx in txs])
+        assert all(flag.valid for flag in flags)
+        assert [args[0].tx_id for args in calls] == [tx.tx_id for tx in txs]
+        assert block.data_hash == compute_data_hash(block.transactions)
+
+    def test_verify_level_encodes_once_per_endorsement_and_commit(self, monkeypatch):
+        calls = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
+        endorsed = _count_calls(monkeypatch, ledger, "endorse_transaction")
+        applied = _count_calls(monkeypatch, sys.modules["vaxledger.engine"], "apply_block")
+        config = default_verify_config()
+        _metrics, run = run_level(config, config.tps_levels[0], setup=SetupWorld(config))
+        committed = sum(len(block.transactions) for _state, block, *_ in applied)
+        assert committed == sum(len(block.transactions) for block in run.chain.blocks)
+        assert len(calls) == len(endorsed) + committed
+
+    def test_write_set_changed_after_endorsement_is_rejected(self):
+        setup, chain, state = self._world()
+        good = setup.register_tx(state, "FR", CertificateHash(b"\x61" * 32), b"g" * 16)
+        endorsed = setup.register_tx(state, "FR", CertificateHash(b"\x62" * 32), b"t" * 16)
+        (key, record), = endorsed.write_set
+        # Same key, a forged record; the endorsement covers the original one.
+        tampered = dataclasses.replace(
+            endorsed, write_set=((key, {**record, "issuer_did": "did:forged"}),)
+        )
+        expected = state.copy_prefix(len(state))
+        block, flags = setup.seal(chain, state, [Envelope(good, 0, 0), Envelope(tampered, 0, 0)])
+        assert flags[0].valid
+        assert (flags[1].valid, flags[1].reason) == (False, "bad-signature")
+        (good_key, good_record), = good.write_set
+        expected.put(good_key, good_record, (block.number, 0))
+        assert state.get(key) is None
+        assert state.digest() == expected.digest()
+        assert block.data_hash == compute_data_hash(block.transactions)
+        assert chain.verify()
 
 
 _INSTANCES = [(role, index) for role in ROLES for index in range(ROLE_SIZES[role])]

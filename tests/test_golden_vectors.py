@@ -1,13 +1,20 @@
-"""Golden vectors: the committed credential fixture and its frozen anchor."""
+"""Golden vectors: the committed credential fixture and its frozen anchor,
+and the ledger's transaction encodings."""
 
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from vaxledger.credential import (
     credential_from_dict,
     hash_credential,
     verify_credential,
 )
+from vaxledger.engine import SetupWorld
+from vaxledger.ledger import encode_transaction, transaction_signing_payload
+from vaxledger.scenario import default_register_config
 
 FIXTURE = Path(__file__).parent / "data" / "golden_credential.json"
 
@@ -42,3 +49,37 @@ def test_golden_fields():
     assert doc["issuer_ms"] == "NL"
     assert credential.dose_number == credential.total_doses == 2
     assert credential.expiration_date - credential.issuance_date == 365 * 86400
+
+
+# SHA-256 of (transaction_signing_payload, encode_transaction) for the first
+# center and the first certificate transaction of a default register setup.
+# The center reads its key as absent (None); the certificate reads the center
+# at version (0, 0) and its own key as absent.
+GOLDEN_TX_ENCODINGS = {
+    "center": (
+        "7f23c8f9559d837ea867592bfbfdee5835f4fa92ffb9d0a51cfff087730ff0b1",
+        "3337a5836e8e6884596f3e67773b670a3194e71a7ba74b7280f921b49c2fea63",
+    ),
+    "cert": (
+        "091e04fc8e97c6c2b3224ac768590980429c957e46d0140b618d112d1c86e240",
+        "826bb5d223d45b64502b260338dbd404b197073ebaf5a114033a03d912c4315a",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def setup_transactions():
+    chain, _state = SetupWorld(default_register_config()).fork(1)
+    return {"center": chain.blocks[0].transactions[0], "cert": chain.blocks[1].transactions[0]}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TX_ENCODINGS))
+def test_golden_transaction_encodings(setup_transactions, name):
+    tx = setup_transactions[name]
+    versions = {version is None for _key, version in tx.read_set}
+    assert versions == ({True} if name == "center" else {True, False})
+    digests = tuple(
+        hashlib.sha256(encode(tx)).hexdigest()
+        for encode in (transaction_signing_payload, encode_transaction)
+    )
+    assert digests == GOLDEN_TX_ENCODINGS[name]

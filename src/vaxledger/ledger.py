@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
 
@@ -171,13 +171,11 @@ def transaction_signing_payload(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-def encode_transaction(tx: Transaction, signing_payload: bytes | None = None) -> bytes:
+def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
     """Full canonical encoding, endorsements included (hashed into blocks).
 
-    `signing_payload`, if given, must be `transaction_signing_payload(tx)`.
+    `signing_payload` must be `transaction_signing_payload(tx)`.
     """
-    if signing_payload is None:
-        signing_payload = transaction_signing_payload(tx)
     parts = [signing_payload, _U32(len(tx.endorsements))]
     for ms, signature in tx.endorsements:
         parts.append(_lp(ms.encode()) + _lp(signature))
@@ -188,15 +186,7 @@ def encode_transaction(tx: Transaction, signing_payload: bytes | None = None) ->
 def endorse_transaction(tx: Transaction, keypair) -> Transaction:
     """Return the transaction with the submitter's endorsement appended."""
     sig = sign_payload(keypair.scheme_id, keypair.private_key, transaction_signing_payload(tx))
-    return Transaction(
-        tx_id=tx.tx_id,
-        submitter=tx.submitter,
-        operation=tx.operation,
-        read_set=tx.read_set,
-        write_set=tx.write_set,
-        endorsements=tx.endorsements + ((tx.submitter, sig),),
-        payload_size=tx.payload_size,
-    )
+    return replace(tx, endorsements=tx.endorsements + ((tx.submitter, sig),))
 
 
 @dataclass(frozen=True)
@@ -269,7 +259,7 @@ def compute_data_hash(transactions, payloads=None) -> bytes:
     if payloads is None:
         payloads = map(transaction_signing_payload, transactions)
     h = hashlib.sha256()
-    for tx, payload in zip(transactions, payloads):
+    for tx, payload in zip(transactions, payloads, strict=True):
         h.update(_lp(encode_transaction(tx, payload)))
     return h.digest()
 
@@ -377,9 +367,9 @@ def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy, payl
     transaction's signing payload as `validate_transaction` takes it.
     """
     if payloads is None:
-        payloads = itertools.repeat(None)
+        payloads = (None,) * len(block.transactions)
     flags = []
-    for index, (tx, payload) in enumerate(zip(block.transactions, payloads)):
+    for index, (tx, payload) in enumerate(zip(block.transactions, payloads, strict=True)):
         result = validate_transaction(tx, policy, state, payload)
         flags.append(result)
         if result.valid:

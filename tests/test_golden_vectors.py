@@ -78,8 +78,8 @@ def test_golden_transaction_encodings(setup_transactions, name):
     tx = setup_transactions[name]
     versions = {version is None for _key, version in tx.read_set}
     assert versions == ({True} if name == "center" else {True, False})
+    payload = transaction_signing_payload(tx)
     digests = tuple(
-        hashlib.sha256(encode(tx)).hexdigest()
-        for encode in (transaction_signing_payload, encode_transaction)
+        hashlib.sha256(encoded).hexdigest() for encoded in (payload, encode_transaction(tx, payload))
     )
     assert digests == GOLDEN_TX_ENCODINGS[name]

@@ -24,6 +24,7 @@ from vaxledger.ledger import (
     compute_data_hash,
     endorse_transaction,
     rich_query,
+    transaction_signing_payload,
     validate_transaction,
     write_snapshot,
 )
@@ -226,6 +227,21 @@ class TestApplyBlock:
         assert all(f.valid for f in flags)
         certs = [e.value for e in state.entries_in_order() if e.value.get("doc_type") == "cert"]
         assert len(certs) == 28
+
+    def test_payload_count_must_match_block(self):
+        """A payload list shorter or longer than the block raises instead of
+        leaving transactions unchecked or unhashed."""
+        txs = [make_tx("DE", f"DE/k{i}", {"v": i}, tx_tag=b"p%d" % i) for i in range(2)]
+        block = make_block(0, ZERO_DIGEST, txs)
+        payloads = [transaction_signing_payload(tx) for tx in txs]
+        for wrong in (payloads[:1], payloads + payloads[:1]):
+            with pytest.raises(ValueError):
+                compute_data_hash(block.transactions, wrong)
+            with pytest.raises(ValueError):
+                apply_block(WorldState(), block, POLICY, payloads=wrong)
+        state = WorldState()
+        assert [f.valid for f in apply_block(state, block, POLICY, payloads=payloads)] == [True, True]
+        assert compute_data_hash(block.transactions, payloads) == block.data_hash
 
     def test_replay_reproduces_state(self):
         chain = Chain()

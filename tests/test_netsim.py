@@ -21,6 +21,7 @@ from vaxledger.netsim import (
 )
 from vaxledger.ledger import EU_MEMBER_STATES
 from vaxledger.ordering import BatchConfig
+from vaxledger.scenario import DEFAULT_PROFILE
 
 
 class TestTransitDelay:
@@ -408,6 +409,49 @@ FLOW_LEVELS = {
     ),
     "max-count-1": (dict(batch=BatchConfig(max_message_count=1), duration_seconds=10), 28),
     "poisson-register": (dict(arrival_mode="poisson", duration_seconds=10), 28),
+    # Zero service times and 1 ms batches put many hops on one instant.
+    "zero-service-poisson": (
+        dict(
+            arrival_mode="poisson",
+            duration_seconds=1,
+            service_profile=dataclasses.replace(
+                DEFAULT_PROFILE,
+                endorse_ms=0,
+                orderer_per_envelope_ms=0,
+                commit_per_tx_ms=0,
+                rest_overhead_ms=0,
+            ),
+            batch=BatchConfig(max_message_count=3, batch_timeout_ms=1),
+            fault_schedule=(
+                (0.2, "broker", 0, "down"),
+                (0.3, "sequencer", 0, "down"),
+                (0.35, "sequencer", 1, "down"),
+                (0.4, "sequencer", 0, "up"),
+                (0.6, "broker", 1, "down"),
+                (0.65, "broker", 0, "up"),
+                (0.8, "sequencer", 1, "up"),
+            ),
+        ),
+        400,
+    ),
+    # Sequencer 0 fails on request 4's endorse finish (142,857 + 16,025 µs)
+    # and broker 0 on request 7's orderer finish (250,000 + 21,882 µs), each
+    # the second instance of its role down; either fault 1 µs later changes
+    # the digest.
+    "faults-on-finishes": (
+        dict(
+            _FAULTED,
+            fault_schedule=(
+                (0.1, "sequencer", 2, "down"),
+                (0.158882, "sequencer", 0, "down"),
+                (0.2, "sequencer", 2, "up"),
+                (0.25, "broker", 1, "down"),
+                (0.271882, "broker", 0, "down"),
+                (0.3, "broker", 1, "up"),
+            ),
+        ),
+        28,
+    ),
 }
 
 
@@ -488,6 +532,8 @@ class TestFlowEquivalence:
         "broker-flap": "80f4c969af85aa1b663d73ca102303a4caf06c0c7bfae7441d5c186a788844cb",
         "max-count-1": "733f7b431f1b97831c966c1d62e3be6bffd279542fedcfe1fe3593049b3fb407",
         "poisson-register": "1812e79690c791048a91dff4e4b57be1c5fa28a135a175286082d47b3bb80912",
+        "zero-service-poisson": "84a5ebef983e023ab05d986b2ca800b6e2aa0545f395fd10dd44ee8c12020023",
+        "faults-on-finishes": "890218dbdc789ce8ddda6010418cc6a25477fde7a3fe05adc4b58ff4be188da5",
     }
 
     def test_flow_digests_pinned(self, flow_digests):

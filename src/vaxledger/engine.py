@@ -13,11 +13,16 @@ block fan-out -> commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response. Every started
 request gets one response; a rejected one gets an error response.
 
-The event queue holds only callbacks that touch state other requests share:
-a station reached out of arrival order, the ordering cluster, the ledger
-state, a fault. A hop whose delivery touches none is booked when it is sent,
-not dispatched, and a verification, which shares only the FIFO query pool,
-is served with no event at all (Lindley's recursion).
+An event stays only where its callback reads state that can change at its
+instant. A hop whose delivery touches no shared state is booked when sent,
+and a FIFO station is entered when its job is booked, wherever the job order
+is fixed (Lindley's recursion): the query pool and endorse stations at
+request start, after one offset; the orderer station at the endorse finish,
+after one envelope transit; the commit station at block delivery. So a
+verification schedules no event. A registration keeps its endorse finish
+(chaincode, cluster health, lead sequencer), orderer finish (broker choice)
+and broker arrival (append, batch cut); a block keeps its delivery, as its
+transit grows with its size and can reorder blocks. Faults go first, and win ties.
 Heartbeats enter no station, so their bytes go straight into the meter:
 gossip when the level is scheduled, keepalives between faults, each tick
 booked to the lead coordinator in force at its instant. The REST hop is an
@@ -378,44 +383,38 @@ class LevelRun:
     # register flow
 
     def start_register(self, cert: CertificateHash, ms: str, arrived_at: int) -> None:
-        """Client at `ms` asks its peer to anchor `cert`; the request arrived at `arrived_at`."""
+        """Client at `ms` asks its peer to anchor `cert`; the request arrived at
+        `arrived_at`. Every proposal enters its peer's endorse station after one
+        offset, so requests started in arrival order are served FIFO."""
         self.started += 1
         delivery = self.net.post(
             _client_host(ms), _peer_host(ms), self.profile.proposal_bytes, "proposal", arrived_at
         )
+        finish = self.endorse_stations[ms].enqueue(
+            delivery + self.profile.rest_overhead_us, self.profile.endorse_us
+        )
         # Three defaults, not a four-cell closure: one such callback per request waits from
         # the level's start, and CPython keeps freed four-tuples on a free list.
-        self.queue.schedule(delivery, lambda c=cert, m=ms, t=arrived_at: self._at_endorser(c, m, t))
+        self.queue.schedule(finish, lambda c=cert, m=ms, t=arrived_at: self._endorsed(c, m, t))
 
-    def _at_endorser(self, cert: CertificateHash, ms: str, arrived_at: int) -> None:
-        """The proposal at its peer: REST overhead, then endorse station service.
-        Every enqueue on an endorse station carries the same offset, so its
-        order holds."""
-        peer = _peer_host(ms)
-
-        def endorsed():
-            try:
-                tx = self._register_tx(ms, cert)
-            except ChaincodeError:
-                self._fail_request(ms)
-                return
-            if not self.cluster.available:
-                self._fail_request(ms)
-                return
-            sequencer = self.cluster.lead_instance("sequencer")
-            seq_host = f"sequencer-{sequencer}"
-
-            def at_sequencer():
-                finish = self.orderer_station.enqueue(
-                    self.queue.clock, self.profile.orderer_per_envelope_us
-                )
-                self.queue.schedule(finish, lambda: self._replicate(tx, ms, arrived_at))
-
-            self.net.send(peer, seq_host, self.profile.envelope_bytes, "envelope", at_sequencer)
-
-        at = self.queue.clock + self.profile.rest_overhead_us
-        finish = self.endorse_stations[ms].enqueue(at, self.profile.endorse_us)
-        self.queue.schedule(finish, endorsed)
+    def _endorsed(self, cert: CertificateHash, ms: str, arrived_at: int) -> None:
+        """Endorse finish: run the chaincode and send the envelope to the lead
+        sequencer. Finishes fire in time order and every envelope has one
+        transit, so the orderer station is entered in order at booking."""
+        try:
+            tx = self._register_tx(ms, cert)
+        except ChaincodeError:
+            self._fail_request(ms)
+            return
+        if not self.cluster.available:
+            self._fail_request(ms)
+            return
+        seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
+        delivery = self.net.post(
+            _peer_host(ms), seq_host, self.profile.envelope_bytes, "envelope", self.queue.clock
+        )
+        finish = self.orderer_station.enqueue(delivery, self.profile.orderer_per_envelope_us)
+        self.queue.schedule(finish, lambda: self._replicate(tx, ms, arrived_at))
 
     def _replicate(self, tx: Transaction, ms: str, arrived_at: int) -> None:
         """Sequencer hands the envelope to a broker; append happens on arrival."""
@@ -425,8 +424,7 @@ class LevelRun:
         ups = [i for i, up in enumerate(self.cluster.status["broker"]) if up]
         broker = ups[self._broker_rr % len(ups)]
         self._broker_rr += 1
-        sequencer = self.cluster.lead_instance("sequencer")
-        seq_host = f"sequencer-{sequencer}"
+        seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
 
         def at_broker():
             envelope = Envelope(
@@ -464,34 +462,31 @@ class LevelRun:
             self.queue.schedule(deadline, self._try_cut)
 
     def _seal_and_fanout(self, batch: list) -> None:
-        """Seal and fan out `batch`; on commit, ack each valid transaction's
-        client and send an error response for each invalid one. Runs only
-        while the cluster is available, so a sequencer leads."""
+        """Seal and fan out `batch`. On delivery the block enters the commit
+        station, and each client is answered at the commit finish: an ack for
+        a valid transaction, an error for an invalid one. Runs only while the
+        cluster is available, so a sequencer leads."""
         block, flags = self.setup.seal(self.chain, self.state, batch)
-        answers = {ms: [] for ms in EU_MEMBER_STATES}
+        answers = {ms: [] for ms in EU_MEMBER_STATES}  # arrival time, or None on error
         for tx, flag in zip(block.transactions, flags):
+            ms, arrived_at = self._pending_acks.pop(tx.tx_id)
             if flag.valid:
                 self.committed += 1
             else:
                 self.invalid_txs += 1
-            ms, arrived_at = self._pending_acks.pop(tx.tx_id)
-            answers[ms].append((arrived_at, flag.valid))
+                self.errors += 1
+                arrived_at = None
+            answers[ms].append(arrived_at)
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
         seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
         commit_service = self.profile.commit_per_tx_us * len(batch)
 
+        # An event: transit grows with block size, so blocks may arrive out of seal order.
         def delivered():
             finish = self.commit_station.enqueue(self.queue.clock, commit_service)
-            self.queue.schedule(finish, committed)
-
-        def committed():
-            now = self.queue.clock
-            for ms, entries in answers.items():
-                for arrived_at, valid in entries:
-                    if valid:
-                        self._respond(ms, self.profile.endorsement_bytes, arrived_at, now)
-                    else:
-                        self._fail_request(ms)
+            for ms, arrivals in answers.items():
+                for arrived_at in arrivals:
+                    self._respond(ms, self.profile.endorsement_bytes, arrived_at, finish)
 
         self.net.send(seq_host, PEER_HOSTS, block_bytes, "block", delivered)
 

@@ -113,6 +113,31 @@ class TestServiceStation:
         station.enqueue(900, 400)  # only 100 of it inside the window
         assert station.busy_fraction() == pytest.approx(0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        workers=st.sampled_from((1, 18)),
+        jobs=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 2000)), max_size=60),
+        window=st.integers(1, 20_000),
+    )
+    def test_enqueue_at_booking_matches_enqueue_from_events(self, workers, jobs, window):
+        """Jobs offered at non-decreasing times are served alike whether each
+        enters the station when it is booked or from an event at its instant:
+        the premise on which the engine enters its stations at booking time."""
+        booked, dispatched = ServiceStation(window, workers), ServiceStation(window, workers)
+        queue = EventQueue()
+        now, booked_finishes, dispatched_finishes = 0, [], []
+        for gap, service in jobs:
+            now += gap
+            booked_finishes.append(booked.enqueue(now, service))
+            queue.schedule(
+                now, lambda s=service: dispatched_finishes.append(dispatched.enqueue(queue.clock, s))
+            )
+        queue.drain()
+        assert booked_finishes == dispatched_finishes
+        assert booked.busy_us == dispatched.busy_us
+        assert booked.offered_us == dispatched.offered_us
+        assert booked.free_at == dispatched.free_at
+
 
 class TestBandwidthMeter:
     def test_no_traffic(self):
@@ -280,10 +305,11 @@ class TestEngineNetProperties:
 
         metrics, run = run_level(default_register_config(), 28)
         assert metrics.requests == run.started == 1680
-        # proposal delivery, endorse finish, sequencer arrival, orderer finish
-        # and broker arrival per request, plus block deliveries, commit
-        # finishes and batch timers; arrivals and responses are booked
-        assert metrics.processed_events == 10_920
+        # endorse finish, orderer finish and broker arrival per request, plus
+        # block deliveries and batch timers; the proposal, the envelope to the
+        # sequencer, the endorse and orderer stations, the commit station and
+        # the response are booked where their order is fixed
+        assert metrics.processed_events == 6_720
 
     def test_trace_determinism(self):
         from vaxledger.engine import run_level
@@ -379,8 +405,8 @@ class TestEngineNetProperties:
         assert checked > 50
 
 
-# Levels whose request flows the flow digests pin: every default level,
-# forked from one setup world per step as `run_scenario` forks them, and a
+# Levels whose request flows the flow digests pin: every default level
+# (the session's `default_levels`, which `run_scenario` would run alike), and a
 # fixed set of Poisson, one-transaction-batch and faulted levels. The broker
 # flap puts a fault on the instant of request 9's proposal delivery (321,429
 # + 3,025 µs) and one on request 17's endorse finish (607,143 + 16,025 µs),
@@ -483,25 +509,24 @@ def _flow_digest(metrics, run) -> str:
 
 
 @pytest.fixture(scope="module")
-def flow_digests():
+def flow_digests(default_levels):
     """Flow digest per level, keyed "<step>@<tps>" or by FLOW_LEVELS name."""
-    from vaxledger.engine import SetupWorld, run_level
-    from vaxledger.scenario import default_register_config, default_verify_config
+    from vaxledger.engine import run_level
+    from vaxledger.scenario import default_register_config
 
     digests = {}
-    for config in (default_register_config(), default_verify_config()):
-        setup = SetupWorld(config)
-        for level in config.tps_levels:
-            digests[f"{config.step}@{level}"] = _flow_digest(*run_level(config, level, setup=setup))
-        if config.step == "verify":
-            # A setup world depends on step, seed and profile, which these share.
-            for name, overrides, tps in (
-                ("poisson-verify", dict(arrival_mode="poisson"), 100),
-                ("faulted-verify", dict(fault_schedule=((0.2, "coordinator", 0, "down"),
-                                                        (0.5, "broker", 2, "down"))), 8),
-            ):
-                level_config = dataclasses.replace(config, **overrides)
-                digests[name] = _flow_digest(*run_level(level_config, tps, setup=setup))
+    for step, (config, setup, runs) in default_levels.items():
+        for level, (metrics, run) in zip(config.tps_levels, runs):
+            digests[f"{step}@{level}"] = _flow_digest(metrics, run)
+    # A setup world depends on step, seed and profile, which these share.
+    config, setup, _runs = default_levels["verify"]
+    for name, overrides, tps in (
+        ("poisson-verify", dict(arrival_mode="poisson"), 100),
+        ("faulted-verify", dict(fault_schedule=((0.2, "coordinator", 0, "down"),
+                                                (0.5, "broker", 2, "down"))), 8),
+    ):
+        level_config = dataclasses.replace(config, **overrides)
+        digests[name] = _flow_digest(*run_level(level_config, tps, setup=setup))
     for name, (overrides, tps) in FLOW_LEVELS.items():
         digests[name] = _flow_digest(*run_level(default_register_config(**overrides), tps))
     return digests

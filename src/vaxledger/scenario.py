@@ -102,6 +102,15 @@ class ServiceTimeProfile:
 DEFAULT_PROFILE = ServiceTimeProfile()
 
 
+# JSON values each numeric field type takes; a boolean is neither.
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def _is_number(value, kind: str = "float") -> bool:
+    """Whether `value` is a number of the field type `kind`: never a boolean."""
+    return isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+
+
 _STEPS = ("register", "verify")
 _ARRIVAL_MODES = ("uniform", "poisson")
 
@@ -134,8 +143,8 @@ class ScenarioConfig:
             raise ConfigError(f"step must be one of {_STEPS}, got {self.step!r}")
         if not self.tps_levels:
             raise ConfigError("tps_levels must be non-empty")
-        if not all(0 < level < math.inf for level in self.tps_levels):
-            raise ConfigError("tps_levels must be positive and finite")
+        if not all(_is_number(level) and 0 < level < math.inf for level in self.tps_levels):
+            raise ConfigError(f"tps_levels must be positive finite numbers, got {self.tps_levels!r}")
         if self.duration_seconds <= 0:
             raise ConfigError("duration_seconds must be positive")
         if self.arrival_mode not in _ARRIVAL_MODES:
@@ -154,8 +163,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{role} index {index} out of range")
             if status not in ("up", "down"):
                 raise ConfigError("fault status must be 'up' or 'down'")
-            if not 0 <= at < math.inf:
-                raise ConfigError("fault time must be non-negative and finite")
+            if not (_is_number(at) and 0 <= at < math.inf):
+                raise ConfigError(f"fault time must be a non-negative, finite number, got {at!r}")
 
 
 def default_register_config(**overrides) -> ScenarioConfig:
@@ -174,10 +183,6 @@ def default_verify_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-# JSON values each numeric field type takes; a boolean is neither.
-_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
-
-
 def _build_strict(cls, doc: dict, context: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{context} must be a JSON object")
@@ -185,10 +190,8 @@ def _build_strict(cls, doc: dict, context: str):
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
     for f in fields(cls):
-        if f.name in doc and f.type in _NUMBER_TYPES:
-            value = doc[f.name]
-            if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES[f.type]):
-                raise ConfigError(f"{context} field {f.name} must be an {f.type}, got {value!r}")
+        if f.name in doc and f.type in _NUMBER_TYPES and not _is_number(doc[f.name], f.type):
+            raise ConfigError(f"{context} field {f.name} must be an {f.type}, got {doc[f.name]!r}")
     return doc
 
 

@@ -97,8 +97,9 @@ class TestConfigSchema:
                     doc = {f.name: value} if section is None else {section: {f.name: value}}
                     with pytest.raises(ConfigError, match=f.name):
                         config_from_dict(doc)
-        # Python's json reads Infinity and NaN; neither is a usable number.
-        for value in (math.inf, math.nan):
+        # Python's json reads Infinity and NaN; neither is a usable number, and
+        # neither is a boolean or a string.
+        for value in (math.inf, math.nan, True, "1"):
             with pytest.raises(ConfigError, match="endorse_ms"):
                 config_from_dict({"service_profile": {"endorse_ms": value}})
             with pytest.raises(ConfigError, match="tps_levels"):

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The default register and
-verify sweeps execute once per session and back several criteria; the
-determinism criterion repeats them from scratch and compares bytes.
+verify levels execute once per session (`default_levels` in conftest.py) and
+back several criteria; the determinism criterion repeats the sweeps from
+scratch through `run_scenario` and compares bytes.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from vaxledger.bench import report_to_csv_text, run_scenario
+from vaxledger.bench import MetricsReport, report_to_csv_text, run_scenario
 from vaxledger.calibrate import load_targets
 from vaxledger.chaincode import (
     ChaincodeContext,
@@ -39,6 +40,7 @@ from vaxledger.ledger import (
     cert_key,
     endorse_transaction,
     validate_transaction,
+    write_snapshot,
 )
 from vaxledger.netsim import LinkParams, transit_delay, transit_delay_us
 from vaxledger.ordering import OrderingCluster, ROLES, ROLE_SIZES
@@ -72,9 +74,20 @@ def run_default(seed: int, tmp_path):
 
 
 @pytest.fixture(scope="session")
-def default_sweeps(tmp_path_factory):
+def default_sweeps(default_levels, tmp_path_factory):
+    """`run_default(seed=42)`'s outputs and reports, built from the session's
+    default level runs; criterion 10 checks them against `run_scenario`."""
     tmp = tmp_path_factory.mktemp("sweep")
-    outputs, reports = run_default(seed=42, tmp_path=tmp)
+    outputs = {}
+    reports = {}
+    for name, (config, _setup, runs) in default_levels.items():
+        assert config.seed == 42
+        snapshot = tmp / f"{name}.ndjson"
+        write_snapshot(runs[-1][1].chain, snapshot)
+        report = MetricsReport(step=name, levels=tuple(metrics for metrics, _run in runs))
+        outputs[f"{name}.csv"] = report_to_csv_text(report).encode()
+        outputs[f"{name}.ndjson"] = snapshot.read_bytes()
+        reports[name] = report
     return outputs, reports
 
 

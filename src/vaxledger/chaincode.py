@@ -3,6 +3,8 @@
 Chaincode runs against a read snapshot of one peer's world state and records
 every state access into read/write sets; the ledger's MVCC validation settles
 conflicting concurrent writes at commit time, never the chaincode itself.
+A caller acts only for its own member state. Verification is one key lookup;
+the engine charges its simulated cost, a worst-case `rich_query`, itself.
 
 Call descriptors (operation name plus length-prefixed arguments) give each
 invocation a byte-stable encoding used for payload-size accounting and for
@@ -22,7 +24,6 @@ from .ledger import (
     make_cert_record,
     make_center_record,
     require_member_state,
-    rich_query,
 )
 
 __all__ = [
@@ -39,8 +40,6 @@ __all__ = [
     "register_medical_center",
     "register_certificate",
     "verify_certificate",
-    "EXACT_LOOKUP",
-    "WORST_CASE_SCAN",
 ]
 
 
@@ -64,10 +63,6 @@ class AlreadyRegisteredError(ChaincodeError):
     """Key already present; duplicate registrations are rejected."""
 
 
-EXACT_LOOKUP = "exact_lookup"
-WORST_CASE_SCAN = "worst_case_scan"
-
-
 @dataclass(frozen=True)
 class MedicalCenterRecord:
     center_id: str
@@ -79,24 +74,16 @@ class MedicalCenterRecord:
 
 @dataclass
 class ChaincodeContext:
-    """One invocation's view: caller identity plus read/write accumulators.
-
-    `query_mode` selects the verification cost model: exact-key lookup
-    (realistic) or worst-case full scan (benchmark mode, where the matching
-    record is assumed to be the newest entry).
-    """
+    """One invocation's view: the caller's member state, the peer state it
+    reads, and the read and write sets it accumulates."""
 
     caller: str
     state: WorldState
-    caller_signature_valid: bool = True
-    query_mode: str = EXACT_LOOKUP
     read_set: list = field(default_factory=list)
     write_set: list = field(default_factory=list)
 
     def __post_init__(self):
         require_member_state(self.caller)
-        if self.query_mode not in (EXACT_LOOKUP, WORST_CASE_SCAN):
-            raise ValueError(f"unknown query mode: {self.query_mode!r}")
 
     def get_state(self, key: str):
         value = self.state.get(key)
@@ -119,7 +106,6 @@ class ProposalResponse:
 class VerifyResult:
     found: bool
     record: dict | None
-    scan_count: int
 
 
 def encode_call(name: str, args) -> bytes:
@@ -134,11 +120,6 @@ def encode_call(name: str, args) -> bytes:
     return b"".join(parts)
 
 
-def _require_caller(ctx: ChaincodeContext) -> None:
-    if not ctx.caller_signature_valid:
-        raise AccessDeniedError("caller signature invalid")
-
-
 def register_medical_center(ctx: ChaincodeContext, center: MedicalCenterRecord) -> ProposalResponse:
     """Record a national medical center under the caller's namespace.
 
@@ -146,7 +127,6 @@ def register_medical_center(ctx: ChaincodeContext, center: MedicalCenterRecord) 
     so a concurrent duplicate registration invalidates at commit; a center
     already present at proposal time is rejected here.
     """
-    _require_caller(ctx)
     if center.ms != ctx.caller:
         raise AccessDeniedError(f"{ctx.caller} cannot register a center for {center.ms}")
     if not center.center_id or not center.name or not center.address or not center.issuer_did:
@@ -194,7 +174,6 @@ def register_certificate(
     that center record enters the read set so an unregistered issuer
     invalidates the transaction at commit.
     """
-    _require_caller(ctx)
     if not isinstance(cert_hash, CertificateHash):
         raise NonconformantMessageError("certificate hash must be a CertificateHash")
     center_state_key, center = _find_center_by_did(ctx, issuer_did)
@@ -219,20 +198,9 @@ def verify_certificate(
     cert_hash: CertificateHash,
     issuer_ms: str | None = None,
 ) -> VerifyResult:
-    """Read-only check whether a certificate hash is anchored.
-
-    Worst-case mode runs the content query (full scan, matching record
-    expected newest); exact mode does a key lookup and needs the issuing
-    member state (a real verifier reads it off the presented credential).
-    The write set stays empty either way.
-    """
-    if ctx.query_mode == WORST_CASE_SCAN:
-        matches, scan_count = rich_query(
-            ctx.state, {"doc_type": "cert", "cert_hash": cert_hash.hex}
-        )
-        record = matches[-1] if matches else None
-        return VerifyResult(found=record is not None, record=record, scan_count=scan_count)
+    """Whether a certificate hash is anchored: one read-only key lookup under
+    `issuer_ms`, the caller by default (a real verifier reads it off the credential)."""
     if issuer_ms is None:
         issuer_ms = ctx.caller
     record = ctx.state.get(cert_key(issuer_ms, cert_hash.hex))
-    return VerifyResult(found=record is not None, record=record, scan_count=1)
+    return VerifyResult(found=record is not None, record=record)

@@ -210,10 +210,6 @@ class CertificateHash:
     def hex(self) -> str:
         return self.digest.hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> "CertificateHash":
-        return cls(bytes.fromhex(text))
-
 
 @dataclass(frozen=True)
 class VaccinationCredential:

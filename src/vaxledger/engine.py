@@ -42,11 +42,11 @@ copies. One commit station serves all 27 peers exactly: each block reaches
 every peer at one instant and costs each the same, so their timelines agree.
 
 Every verification is a worst-case content query at the peer of
-`EU_MEMBER_STATES[0]`, charged query_per_record_us times the entries
-`verify_certificate` scans. The chaincode call runs once per level and is
-memoized: state does not change during a verify level, so every request's
-query costs the same. One query station serves the level exactly, as one
-commit station does: only one peer is ever queried.
+`EU_MEMBER_STATES[0]`, charged query_per_record_us times the entries that
+`rich_query` scans for the newest provisioned record. The engine runs it once
+per level and memoizes the count: state does not change during a verify
+level, so every request's query costs the same. One query station serves the
+level exactly, as one commit station does: only one peer is ever queried.
 """
 
 from __future__ import annotations
@@ -55,13 +55,11 @@ import hashlib
 from dataclasses import dataclass
 
 from .chaincode import (
-    WORST_CASE_SCAN,
     ChaincodeContext,
     ChaincodeError,
     MedicalCenterRecord,
     register_certificate,
     register_medical_center,
-    verify_certificate,
 )
 from .credential import CertificateHash, HMAC_SHA256, generate_did, generate_keypair
 from .ledger import (
@@ -73,6 +71,7 @@ from .ledger import (
     apply_block,
     cert_key,
     endorse_transaction,
+    rich_query,
     transaction_signing_payload,
 )
 from .netsim import (
@@ -125,6 +124,16 @@ def build_ms_keys() -> dict:
     return keys
 
 
+def _tx_id(*fields) -> bytes:
+    """A transaction id: the first 16 bytes of the sha256 of "tx|" and `fields`, joined by "|"."""
+    return hashlib.sha256("|".join(["tx", *map(str, fields)]).encode()).digest()[:16]
+
+
+def _world_key(config: ScenarioConfig) -> tuple:
+    """The config values a `SetupWorld` reads: step and seed (its tx ids) and the envelope size."""
+    return config.step, config.seed, config.service_profile.envelope_bytes
+
+
 def _peer_host(ms: str) -> str:
     return f"peer-{ms}"
 
@@ -162,8 +171,7 @@ class SetupWorld:
 
     def _next_tx_id(self) -> bytes:
         self._tx_counter += 1
-        tag = "tx|%s|%d|%d" % (self.config.step, self.config.seed, self._tx_counter)
-        return hashlib.sha256(tag.encode()).digest()[:16]
+        return _tx_id(self.config.step, self.config.seed, self._tx_counter)
 
     def _endorse(self, ms: str, response, tx_id: bytes) -> Transaction:
         """The transaction of chaincode `response`, endorsed by `ms`."""
@@ -260,7 +268,8 @@ class SetupWorld:
 class LevelRun:
     """A single (step, tps level) execution over its own simulated world.
 
-    Its ledger starts as a fork of `setup`; without one, the run builds a
+    Its ledger starts as a fork of `setup`, which must have been built for
+    the same step, seed and envelope size; without one, the run builds a
     private `SetupWorld`. `arrivals` is the level's request schedule, in µs.
     """
 
@@ -279,6 +288,9 @@ class LevelRun:
         self.meter = BandwidthMeter(window_us=self.duration_us)
         self.net = MessageLayer(self.queue, config.link, self.meter, tracer)
         self.setup = setup if setup is not None else SetupWorld(config)
+        if _world_key(self.setup.config) != _world_key(config):
+            raise ValueError("setup world built for (step, seed, envelope_bytes) = "
+                             f"{_world_key(self.setup.config)}, not {_world_key(config)}")
         self.arrivals = generate_arrivals(
             level, config.duration_seconds, config.arrival_mode, config.seed
         )
@@ -316,10 +328,7 @@ class LevelRun:
         """Ids of transactions made after `preload`; tagged with the level,
         which setup ids never are."""
         self._tx_counter += 1
-        tag = "tx|%s|%s|%d|%d" % (
-            self.config.step, self.level, self.config.seed, self._tx_counter
-        )
-        return hashlib.sha256(tag.encode()).digest()[:16]
+        return _tx_id(self.config.step, self.level, self.config.seed, self._tx_counter)
 
     def _register_tx(self, ms: str, cert: CertificateHash) -> Transaction:
         """The register chaincode run on `cert` by the peer of `ms`, endorsed."""
@@ -502,14 +511,14 @@ class LevelRun:
     # verify flow
 
     def scan_count(self) -> int:
-        """Records one verification reads; `verify_certificate` runs once per level."""
+        """Records one verification reads: the entries `rich_query` scans for
+        the newest provisioned record. The query runs once per level."""
         if self._scan_memo is None:
-            ms, cert_hex = self.provisioned[-1]
-            ctx = ChaincodeContext(caller=ms, state=self.state, query_mode=WORST_CASE_SCAN)
-            result = verify_certificate(ctx, CertificateHash.from_hex(cert_hex), issuer_ms=ms)
-            if not result.found:
+            _ms, cert_hex = self.provisioned[-1]
+            matches, scanned = rich_query(self.state, {"doc_type": "cert", "cert_hash": cert_hex})
+            if not matches:
                 raise RuntimeError("provisioned verification target missing from state")
-            self._scan_memo = result.scan_count
+            self._scan_memo = scanned
         return self._scan_memo
 
     def start_verify(self, target: tuple, ms: str, arrived_at: int) -> None:

@@ -329,6 +329,10 @@ class TestScenarioBehavior:
         assert all(0 <= value <= 1 for value in busy.values())
 
 
+SHORT_REGISTER = default_register_config(duration_seconds=2)
+WIDE_ENVELOPES = dataclasses.replace(DEFAULT_PROFILE, envelope_bytes=9000)
+
+
 class TestSetupWorld:
     """Levels forked from one setup world equal standalone levels and stay
     apart from it and from each other."""
@@ -394,6 +398,37 @@ class TestSetupWorld:
         assert second.state.get(cert_key("DE", anchored.hex)) is None
         assert second.state.get(cert_key("FR", live.hex)) is None
         assert len(second.chain.blocks) == setup_blocks + 1  # its own partial block
+
+    @pytest.mark.parametrize(
+        "level_config, world_config",
+        [
+            (
+                SHORT_REGISTER,
+                dataclasses.replace(SHORT_REGISTER, seed=7, service_profile=WIDE_ENVELOPES),
+            ),
+            (SHORT_REGISTER, dataclasses.replace(SHORT_REGISTER, service_profile=WIDE_ENVELOPES)),
+            (SHORT_REGISTER, dataclasses.replace(SHORT_REGISTER, seed=7)),
+            (default_verify_config(duration_seconds=2), SHORT_REGISTER),
+        ],
+        ids=["seed-and-envelope", "envelope", "seed", "step"],
+    )
+    def test_world_built_for_another_config_is_rejected(self, level_config, world_config):
+        """A setup world's transactions carry its step, seed and envelope size,
+        so a level must not fork one built with other values."""
+        with pytest.raises(ValueError, match="setup world built for"):
+            run_level(level_config, 4, setup=SetupWorld(world_config))
+
+    def test_world_built_for_other_levels_and_services_is_shared(self):
+        """What a setup world does not read may differ from the level's config."""
+        config = default_verify_config(duration_seconds=2, preloaded_records=10)
+        world_config = dataclasses.replace(
+            config, tps_levels=(3,), duration_seconds=5, preloaded_records=0,
+            arrival_mode="poisson", service_profile=dataclasses.replace(
+                DEFAULT_PROFILE, query_workers=2, endorse_ms=1.0
+            ),
+        )
+        shared, _run = run_level(config, 2, setup=SetupWorld(world_config))
+        assert shared == run_level(config, 2)[0]
 
 
 def _count_calls(monkeypatch, module, name) -> list:

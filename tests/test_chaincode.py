@@ -11,14 +11,13 @@ from vaxledger.chaincode import (
     MedicalCenterRecord,
     NonconformantMessageError,
     UnknownIssuerError,
-    WORST_CASE_SCAN,
     encode_call,
     register_certificate,
     register_medical_center,
     verify_certificate,
 )
 from vaxledger.credential import CertificateHash
-from vaxledger.ledger import WorldState, cert_key
+from vaxledger.ledger import WorldState, cert_key, rich_query
 
 
 def fresh_hash(tag: bytes) -> CertificateHash:
@@ -69,11 +68,6 @@ class TestRegisterCenter:
         state = state_with_center()
         ctx = ChaincodeContext(caller="DE", state=state)
         with pytest.raises(AlreadyRegisteredError):
-            register_medical_center(ctx, center_record())
-
-    def test_invalid_caller_signature_denied(self):
-        ctx = ChaincodeContext(caller="DE", state=WorldState(), caller_signature_valid=False)
-        with pytest.raises(AccessDeniedError):
             register_medical_center(ctx, center_record())
 
 
@@ -149,6 +143,11 @@ class TestRegisterCertificate:
         assert second.reason == "stale-read"
 
 
+def cert_query(anchor: CertificateHash) -> dict:
+    """The content query the engine charges for one verification of `anchor`."""
+    return {"doc_type": "cert", "cert_hash": anchor.hex}
+
+
 class TestVerifyCertificate:
     def test_register_then_verify_found(self):
         state = state_with_center()
@@ -157,19 +156,18 @@ class TestVerifyCertificate:
         response = register_certificate(ctx, anchor, center_record().issuer_did)
         for index, (key, value) in enumerate(response.write_set):
             state.put(key, value, (1, index))
-        result = verify_certificate(
-            ChaincodeContext(caller="DE", state=state, query_mode=WORST_CASE_SCAN), anchor
-        )
+        result = verify_certificate(ChaincodeContext(caller="DE", state=state), anchor)
         assert result.found
         assert result.record["cert_hash"] == anchor.hex
+        matches, _scanned = rich_query(state, cert_query(anchor))
+        assert matches[-1] is result.record
 
     def test_never_registered_not_found(self):
         state = state_with_center()
-        result = verify_certificate(
-            ChaincodeContext(caller="DE", state=state, query_mode=WORST_CASE_SCAN),
-            fresh_hash(b"nope"),
-        )
-        assert not result.found
+        ctx = ChaincodeContext(caller="DE", state=state)
+        result = verify_certificate(ctx, fresh_hash(b"nope"))
+        assert not result.found and result.record is None
+        assert rich_query(state, cert_query(fresh_hash(b"nope"))) == ([], len(state))
 
     def test_worst_case_scan_cost(self):
         state = WorldState()
@@ -182,36 +180,31 @@ class TestVerifyCertificate:
                 (0, i),
             )
             last = digest
-        ctx = ChaincodeContext(caller="DE", state=state, query_mode=WORST_CASE_SCAN)
-        result = verify_certificate(ctx, last)
-        assert result.found
-        assert result.scan_count == 10_000
+        matches, scanned = rich_query(state, cert_query(last))
+        assert matches[-1]["cert_hash"] == last.hex
+        assert scanned == 10_000
 
-    def test_exact_mode_single_probe(self):
+    def test_exact_mode_single_probe(self, monkeypatch):
         state = state_with_center()
         anchor = fresh_hash(b"cert-x")
         ctx = ChaincodeContext(caller="DE", state=state)
         response = register_certificate(ctx, anchor, center_record().issuer_did)
         for index, (key, value) in enumerate(response.write_set):
             state.put(key, value, (1, index))
-        result = verify_certificate(
-            ChaincodeContext(caller="DE", state=state), anchor, issuer_ms="DE"
-        )
-        assert result.found and result.scan_count == 1
+        probes = []  # the keys read; a scan fails the test
+        get = state.get
+        monkeypatch.setattr(state, "get", lambda key: probes.append(key) or get(key))
+        monkeypatch.setattr(state, "entries_in_order", pytest.fail)
+        ctx = ChaincodeContext(caller="FR", state=state)
+        result = verify_certificate(ctx, anchor, issuer_ms="DE")
+        assert result.found and probes == [cert_key("DE", anchor.hex)]
 
     def test_read_only(self):
         state = state_with_center()
         before = state.digest()
-        verify_certificate(
-            ChaincodeContext(caller="DE", state=state, query_mode=WORST_CASE_SCAN),
-            fresh_hash(b"q"),
-        )
+        verify_certificate(ChaincodeContext(caller="DE", state=state), fresh_hash(b"q"))
+        rich_query(state, cert_query(fresh_hash(b"q")))
         assert state.digest() == before
-
-    def test_unknown_query_mode_rejected(self):
-        """A misspelt mode would otherwise run the exact lookup and charge one record."""
-        with pytest.raises(ValueError, match="unknown query mode"):
-            ChaincodeContext(caller="DE", state=WorldState(), query_mode="worst-case-scan")
 
 
 class TestCallDescriptor:

@@ -51,20 +51,19 @@ def run_scenario(
     comparisons.
     """
     levels = []
-    last_run = None
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         tracer = TraceWriter(trace_fh) if trace_fh else None
         setup = SetupWorld(config)
         for level in config.tps_levels:
+            run = None  # release the previous level's world before the next is built
             metrics, run = run_level(config, level, tracer, setup)
             levels.append(metrics)
-            last_run = run
     finally:
         if trace_fh:
             trace_fh.close()
-    if snapshot_path and last_run is not None:
-        write_snapshot(last_run.chain, snapshot_path)
+    if snapshot_path:
+        write_snapshot(run.chain, snapshot_path)
     return MetricsReport(step=config.step, levels=tuple(levels))
 
 

@@ -155,11 +155,11 @@ def _find_center_by_did(ctx: ChaincodeContext, issuer_did: str):
     Only the matched center lands in the read set, creating the commit-time
     dependency that invalidates the registration if the center disappears.
     """
-    for entry in ctx.state.entries_in_order():
+    for key, entry in ctx.state.items_in_order():
         value = entry.value
         if value.get("doc_type") == "center" and value.get("issuer_did") == issuer_did:
             if value["ms"] == ctx.caller:
-                return center_key(value["ms"], value["center_id"]), value
+                return key, value
     return None, None
 
 

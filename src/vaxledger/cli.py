@@ -159,6 +159,8 @@ def _load_fixture(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     credential = cred.credential_from_dict(doc)
+    if not isinstance(doc.get("issuer_public_key", ""), str):
+        raise ConfigError("issuer_public_key must be a hex string")
     return credential, doc
 
 

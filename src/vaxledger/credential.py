@@ -382,35 +382,41 @@ def credential_to_dict(credential: VaccinationCredential) -> dict:
     return doc
 
 
+def _field(doc: dict, name: str, kind: type = str, parse=None):
+    if name not in doc:
+        raise CredentialError(f"credential fixture lacks field {name!r}")
+    value = doc[name]
+    if type(value) is not kind:  # so no boolean passes for an integer
+        raise CredentialError(f"credential field {name!r} must be {kind.__name__}")
+    try:
+        return value if parse is None else parse(value)
+    except ValueError as exc:
+        raise CredentialError(f"credential field {name!r}: {exc}") from exc
+
+
 def credential_from_dict(doc: dict) -> VaccinationCredential:
-    """Parse a fixture document; a malformed one raises CredentialError."""
+    """Parse a fixture document; a malformed one raises CredentialError naming the field."""
     if not isinstance(doc, dict):
         raise CredentialError("credential fixture must be a JSON object")
     if doc.get("format") != FIXTURE_FORMAT:
         raise CredentialError(f"unsupported credential format: {doc.get('format')!r}")
-    try:
-        proof = None
-        if "proof" in doc:
-            p = doc["proof"]
-            proof = Proof(
-                scheme_id=p["scheme_id"],
-                verification_method=DecentralizedIdentifier.parse(p["verification_method"]),
-                signature=bytes.fromhex(p["signature"]),
-            )
-        return VaccinationCredential(
-            context=doc["context"],
-            issuer=DecentralizedIdentifier.parse(doc["issuer"]),
-            subject=DecentralizedIdentifier.parse(doc["subject"]),
-            vaccine_product=doc["vaccine_product"],
-            dose_number=int(doc["dose_number"]),
-            total_doses=int(doc["total_doses"]),
-            batch_id=doc["batch_id"],
-            issuance_date=int(doc["issuance_date"]),
-            expiration_date=int(doc["expiration_date"]),
-            proof=proof,
+    proof = None
+    if "proof" in doc:
+        p = _field(doc, "proof", dict)
+        proof = Proof(
+            scheme_id=_field(p, "scheme_id"),
+            verification_method=_field(p, "verification_method", parse=DecentralizedIdentifier.parse),
+            signature=_field(p, "signature", parse=bytes.fromhex),
         )
-    except KeyError as exc:
-        raise CredentialError(f"credential fixture lacks field {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError) as exc:
-        raise CredentialError(f"malformed credential fixture: {exc}") from exc
-
+    return VaccinationCredential(
+        context=_field(doc, "context"),
+        issuer=_field(doc, "issuer", parse=DecentralizedIdentifier.parse),
+        subject=_field(doc, "subject", parse=DecentralizedIdentifier.parse),
+        vaccine_product=_field(doc, "vaccine_product"),
+        dose_number=_field(doc, "dose_number", int),
+        total_doses=_field(doc, "total_doses", int),
+        batch_id=_field(doc, "batch_id"),
+        issuance_date=_field(doc, "issuance_date", int),
+        expiration_date=_field(doc, "expiration_date", int),
+        proof=proof,
+    )

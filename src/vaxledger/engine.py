@@ -87,7 +87,6 @@ from .workload import generate_arrivals
 
 __all__ = [
     "PEER_HOSTS", "ORDERING_HOSTS", "LevelMetrics", "LevelRun", "SetupWorld", "run_level",
-    "build_ms_keys",
 ]
 
 # The deployment: one peer per member state, and the ordering cluster's
@@ -113,15 +112,6 @@ class LevelMetrics:
     committed_txs: int
     scan_count: int
     processed_events: int
-
-
-def build_ms_keys() -> dict:
-    """Deterministic per-member-state endorsement key pairs."""
-    keys = {}
-    for ms in EU_MEMBER_STATES:
-        did = generate_did("ms", ms.encode())
-        keys[ms] = generate_keypair(did, b"endorse|" + ms.encode(), HMAC_SHA256)
-    return keys
 
 
 def _tx_id(*fields) -> bytes:
@@ -155,7 +145,10 @@ class SetupWorld:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.ms_keys = build_ms_keys()
+        self.ms_keys = {}  # deterministic per-member-state endorsement key pairs
+        for ms in EU_MEMBER_STATES:
+            did = generate_did("ms", ms.encode())
+            self.ms_keys[ms] = generate_keypair(did, b"endorse|" + ms.encode(), HMAC_SHA256)
         self.policy = EndorsementPolicy(
             roster={ms: kp.public_key for ms, kp in self.ms_keys.items()},
             scheme_id=HMAC_SHA256,
@@ -166,7 +159,6 @@ class SetupWorld:
         self.chain = Chain()
         self.state = WorldState()
         self.records: list = []  # endorsed register transactions, in preload order
-        self.provisioned: list = []  # (ms, cert hex) of each record
         self._tx_counter = 0
 
     def _next_tx_id(self) -> bytes:
@@ -240,7 +232,6 @@ class SetupWorld:
             ms = EU_MEMBER_STATES[index % len(EU_MEMBER_STATES)]
             cert = CertificateHash(hashlib.sha256(b"preload-cert|%d" % index).digest())
             records.append(self.register_tx(self.state, ms, cert, self._next_tx_id()))
-            self.provisioned.append((ms, cert.hex))
             if len(records) % SETUP_BLOCK_TXS == 0:
                 self.commit_setup_block(self.chain, self.state, records[-SETUP_BLOCK_TXS:])
 
@@ -268,8 +259,8 @@ class SetupWorld:
 class LevelRun:
     """A single (step, tps level) execution over its own simulated world.
 
-    Its ledger starts as a fork of `setup`, which must have been built for
-    the same step, seed and envelope size; without one, the run builds a
+    `preload` forks `chain` and `state` off `setup`, which must have been built
+    for the same step, seed and envelope size; without one, the run builds a
     private `SetupWorld`. `arrivals` is the level's request schedule, in µs.
     """
 
@@ -295,8 +286,6 @@ class LevelRun:
             level, config.duration_seconds, config.arrival_mode, config.seed
         )
 
-        self.chain = Chain()
-        self.state = WorldState()
         self.cluster = OrderingCluster(config.batch)
 
         window = self.duration_us
@@ -305,7 +294,6 @@ class LevelRun:
         self.query_station = ServiceStation(window, self.profile.query_workers)
         self.orderer_station = ServiceStation(window)
 
-        self.provisioned: list = []
         self.responses_us: list = []
         self.errors = 0
         self.accepted = 0
@@ -330,27 +318,26 @@ class LevelRun:
         self._tx_counter += 1
         return _tx_id(self.config.step, self.level, self.config.seed, self._tx_counter)
 
-    def _register_tx(self, ms: str, cert: CertificateHash) -> Transaction:
-        """The register chaincode run on `cert` by the peer of `ms`, endorsed."""
-        return self.setup.register_tx(self.state, ms, cert, self._next_tx_id())
-
     def preload(self) -> None:
         """Anchor centers and the pre-provisioned certificate population.
 
         A verify level also provisions one distinct target record per arrival
-        in `self.arrivals`. Setup happens before the measurement window: no
-        messages, no bandwidth, sealed directly into setup blocks so the chain
-        replays cleanly from genesis. The world is a fork of the setup world.
+        in `self.arrivals`; a target, (ms, cert hex), is read off its record.
+        Setup happens before the measurement window: no messages, no bandwidth,
+        sealed directly into setup blocks so the chain replays cleanly from
+        genesis. The world is a fork of the setup world.
         """
         total = self.config.preloaded_records
         if self.config.step == "verify":
             total += len(self.arrivals)
         self.chain, self.state = self.setup.fork(total)
-        self.provisioned = self.setup.provisioned[:total]
+        records = self.setup.records[:total]
+        self.provisioned = [(tx.submitter, tx.write_set[0][1]["cert_hash"]) for tx in records]
 
     def anchor(self, ms: str, cert: CertificateHash) -> None:
         """Anchor one more certificate, after `preload`, in its own setup block."""
-        self.setup.commit_setup_block(self.chain, self.state, [self._register_tx(ms, cert)])
+        tx = self.setup.register_tx(self.state, ms, cert, self._next_tx_id())
+        self.setup.commit_setup_block(self.chain, self.state, [tx])
         self.provisioned.append((ms, cert.hex))
 
     # ------------------------------------------------------------------
@@ -411,7 +398,7 @@ class LevelRun:
         sequencer. Finishes fire in time order and every envelope has one
         transit, so the orderer station is entered in order at booking."""
         try:
-            tx = self._register_tx(ms, cert)
+            tx = self.setup.register_tx(self.state, ms, cert, self._next_tx_id())
         except ChaincodeError:
             self._fail_request(ms)
             return

@@ -308,9 +308,9 @@ class WorldState:
         copy._entries = dict(itertools.islice(self._entries.items(), count))
         return copy
 
-    def entries_in_order(self):
-        """Live view of the entries in insertion order; do not write while iterating."""
-        return self._entries.values()
+    def items_in_order(self):
+        """Live view of the (key, entry) pairs in insertion order; do not write while iterating."""
+        return self._entries.items()
 
     def digest(self) -> bytes:
         """Order-sensitive digest of the full state, for replay comparisons."""
@@ -391,8 +391,8 @@ def rich_query(state: WorldState, predicate: dict) -> tuple:
             raise InvalidQueryError(f"unknown query field: {field_name!r}")
     items = predicate.items()
     matches = []
-    entries = state.entries_in_order()
-    for entry in entries:
+    entries = state.items_in_order()
+    for _key, entry in entries:
         value = entry.value
         for k, v in items:
             if value.get(k) != v:

@@ -48,7 +48,7 @@ class BatchConfig:
         return self.batch_timeout_ms * 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     transaction: Transaction
     received_at: int  # simulated microseconds
@@ -67,7 +67,6 @@ class OrderingCluster:
         self.batch = batch_config or BatchConfig()
         self.status = {role: [True] * ROLE_SIZES[role] for role in ROLES}
         self.log: list[Envelope] = []
-        self._seen_tx_ids: set[bytes] = set()
         self._cursor = 0  # log index of the first not-yet-batched envelope
 
     @property
@@ -90,13 +89,9 @@ class OrderingCluster:
         return None
 
     def submit(self, envelope: Envelope) -> SubmitResult:
-        """Append to the replicated log exactly once, if available."""
+        """Append to the replicated log, if available; a resubmitted copy is logged again."""
         if not self.available:
             return SubmitResult(accepted=False)
-        tx_id = envelope.transaction.tx_id
-        if tx_id in self._seen_tx_ids:
-            return SubmitResult(accepted=True)
-        self._seen_tx_ids.add(tx_id)
         self.log.append(envelope)
         return SubmitResult(accepted=True)
 

@@ -1,9 +1,11 @@
 """Scenario configs, report/CSV plumbing, and calibration behavior."""
 
 import dataclasses
+import gc
 import importlib
 import math
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +26,7 @@ from vaxledger.calibrate import (
 from vaxledger.chaincode import AlreadyRegisteredError
 from vaxledger.credential import CertificateHash
 from vaxledger.engine import LevelRun, SetupWorld, run_level
-from vaxledger import ledger
+from vaxledger import bench, ledger
 from vaxledger.ledger import WorldState, apply_block, cert_key, compute_data_hash
 from vaxledger.netsim import LinkParams, transit_delay_us
 from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig, Envelope
@@ -323,6 +325,22 @@ class TestScenarioBehavior:
         assert metrics.error_count == 16
         assert len(run.responses_us) == 12
 
+    def test_each_level_is_released_before_the_next_is_built(self, monkeypatch):
+        """`run_scenario` holds one live level: when a level is built, no
+        earlier level's run is still reachable."""
+        runs, live = [], []
+
+        def recording(*args, **kwargs):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in runs))
+            metrics, run = run_level(*args, **kwargs)
+            runs.append(weakref.ref(run))
+            return metrics, run
+
+        monkeypatch.setattr(bench, "run_level", recording)
+        run_scenario(default_register_config(tps_levels=(1, 2, 4), duration_seconds=1))
+        assert live == [0, 0, 0]
+
     def test_busy_fractions_reported(self, small_register_report):
         busy = small_register_report.levels[0].busy_fractions
         assert set(busy) == {"endorse", "commit", "query", "orderer"}
@@ -398,6 +416,20 @@ class TestSetupWorld:
         assert second.state.get(cert_key("DE", anchored.hex)) is None
         assert second.state.get(cert_key("FR", live.hex)) is None
         assert len(second.chain.blocks) == setup_blocks + 1  # its own partial block
+
+    def test_targets_and_center_reads_hold_the_states_own_strings(self):
+        """A forked level's targets hold each record's cert hash string, and a
+        registration reads its center under the state's own key object."""
+        config = default_verify_config(duration_seconds=2, preloaded_records=500)
+        run = LevelRun(config, 2, setup=SetupWorld(config))
+        run.preload()
+        assert len(run.provisioned) == 504  # one full setup block and a partial one
+        for ms, cert_hex in run.provisioned:
+            assert cert_hex is run.state.get(cert_key(ms, cert_hex))["cert_hash"]
+        keys = {key: key for key, _entry in run.state.items_in_order()}
+        tx = run.setup.register_tx(run.state, "FR", CertificateHash(b"\x70" * 32), b"c" * 16)
+        (center, _version), _cert_read = tx.read_set
+        assert center.startswith("FR/center/") and center is keys[center]
 
     @pytest.mark.parametrize(
         "level_config, world_config",

@@ -194,7 +194,7 @@ class TestVerifyCertificate:
         probes = []  # the keys read; a scan fails the test
         get = state.get
         monkeypatch.setattr(state, "get", lambda key: probes.append(key) or get(key))
-        monkeypatch.setattr(state, "entries_in_order", pytest.fail)
+        monkeypatch.setattr(state, "items_in_order", pytest.fail)
         ctx = ChaincodeContext(caller="FR", state=state)
         result = verify_certificate(ctx, anchor, issuer_ms="DE")
         assert result.found and probes == [cert_key("DE", anchor.hex)]

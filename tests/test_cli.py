@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +22,9 @@ REGISTER_TIMELINE = [
     "   92.00 ms  committed at peer-DE: transaction valid",
     "   95.01 ms  acknowledgment received by client-DE",
 ]
+
+# A well-formed fixture, with the resolution hints that `issue` adds.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_credential.json").read_text())
 
 
 @pytest.fixture
@@ -64,8 +68,23 @@ class TestIssueAndHash:
     @pytest.mark.parametrize("command", ["hash", "register", "verify"])
     @pytest.mark.parametrize(
         "doc",
-        [{"format": "vaxledger-credential/1", "issuer": "did:center:abc"}, ["not", "an", "object"]],
-        ids=["missing-field", "not-an-object"],
+        [
+            {"format": "vaxledger-credential/1", "issuer": "did:center:abc"},
+            ["not", "an", "object"],
+            {**GOLDEN, "context": 5},
+            {**GOLDEN, "vaccine_product": ["a"]},
+            {**GOLDEN, "issuance_date": 1700000000.9},
+            {**GOLDEN, "dose_number": True, "total_doses": True},
+            {**GOLDEN, "dose_number": "x"},
+            {**GOLDEN, "issuer": "did:center:a b"},
+            {**GOLDEN, "proof": {**GOLDEN["proof"], "signature": "zz"}},
+            {**GOLDEN, "issuer_public_key": 5},
+        ],
+        ids=[
+            "missing-field", "not-an-object", "context-not-text", "product-not-text",
+            "fractional-date", "boolean-doses", "text-dose", "malformed-did", "non-hex-signature",
+            "public-key-not-text",
+        ],
     )
     def test_malformed_fixture_config_error(self, tmp_path, runner, command, doc):
         path = tmp_path / "bad.json"

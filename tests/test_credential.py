@@ -259,7 +259,19 @@ class TestFixtureFile:
 
     @pytest.mark.parametrize(
         "change",
-        [{"issuer": None}, {"dose_number": [2]}, {"proof": "not-an-object"}, {"subject": 7}],
+        [
+            {"issuer": None},
+            {"dose_number": [2]},
+            {"proof": "not-an-object"},
+            {"subject": 7},
+            {"context": 5},
+            {"vaccine_product": ["a"]},
+            {"issuance_date": 1700000000.9},
+            {"dose_number": True, "total_doses": True},
+            {"issuer": "did:center:a b"},
+            {"proof": {"scheme_id": "ed25519", "verification_method": "did:c:a", "signature": "zz"}},
+            {"dose_number": "x"},
+        ],
     )
     def test_wrong_typed_field_rejected(self, change):
         credential, _ = make_credential()

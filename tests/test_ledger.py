@@ -225,7 +225,9 @@ class TestApplyBlock:
         block = make_block(0, ZERO_DIGEST, txs)
         flags = apply_block(state, block, POLICY)
         assert all(f.valid for f in flags)
-        certs = [e.value for e in state.entries_in_order() if e.value.get("doc_type") == "cert"]
+        certs = [
+            e.value for _k, e in state.items_in_order() if e.value.get("doc_type") == "cert"
+        ]
         assert len(certs) == 28
 
     def test_payload_count_must_match_block(self):
@@ -286,7 +288,7 @@ class TestQueries:
                 (0, i),
             )
         matches, scanned = rich_query(state, {"ms": "FR"})
-        oracle = [e.value for e in state.entries_in_order() if e.value.get("ms") == "FR"]
+        oracle = [e.value for _k, e in state.items_in_order() if e.value.get("ms") == "FR"]
         assert matches == oracle
         assert len(matches) == 4  # i in {0, 3, 6, 9}
         assert scanned == 10
@@ -322,7 +324,7 @@ class TestQueries:
         matches, scanned = rich_query(state, predicate)
         naive = [
             e.value
-            for e in state.entries_in_order()
+            for _k, e in state.items_in_order()
             if all(e.value.get(k) == v for k, v in predicate.items())
         ]
         assert matches == naive

@@ -16,7 +16,7 @@ from vaxledger.ordering import (
     ROLE_SIZES,
     seal_block,
 )
-from tests.test_ledger import KEYS, POLICY
+from tests.test_ledger import KEYS, POLICY, make_tx
 
 
 def make_envelope(i: int, at: int = 0, size: int = 100) -> Envelope:
@@ -77,12 +77,21 @@ class TestAvailability:
 
 
 class TestSubmitAndLog:
-    def test_append_exactly_once(self):
+    def test_resubmitted_copy_is_logged_and_invalidated_at_commit(self):
+        """The log keeps no tx-id index: both copies are appended, and the
+        second one's read of the certificate key as absent is stale at commit."""
+        key = "DE/cert/ab"
+        tx = make_tx("DE", key, {"doc_type": "cert", "cert_hash": "ab"}, reads=[(key, None)])
+        env = Envelope(transaction=tx, received_at=0, size_bytes=100)
         cluster = OrderingCluster()
-        env = make_envelope(1)
         assert cluster.submit(env).accepted
         assert cluster.submit(env).accepted  # duplicate resubmission
-        assert len(cluster.log) == 1
+        assert cluster.log == [env, env]
+        block = seal_block(cluster.cut_batch(cluster.batch.batch_timeout_us), Chain().tip, SEALER)
+        state = WorldState()
+        flags = apply_block(state, block, POLICY)
+        assert [(flag.valid, flag.reason) for flag in flags] == [(True, None), (False, "stale-read")]
+        assert [k for k, _entry in state.items_in_order()] == [key]
 
     def test_status_toggle_preserves_log(self):
         cluster = OrderingCluster()

@@ -170,7 +170,7 @@ def sign_payload(scheme_id: str, private_key: bytes, payload: bytes) -> bytes:
     if scheme_id == ED25519:
         return Ed25519PrivateKey.from_private_bytes(private_key).sign(payload)
     if scheme_id == HMAC_SHA256:
-        return _hmac.new(private_key, payload, hashlib.sha256).digest()
+        return _hmac.digest(private_key, payload, "sha256")
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")
 
 
@@ -182,8 +182,7 @@ def verify_payload(scheme_id: str, public_key: bytes, payload: bytes, signature:
         except (InvalidSignature, ValueError):
             return False
     if scheme_id == HMAC_SHA256:
-        expected = _hmac.new(public_key, payload, hashlib.sha256).digest()
-        return _hmac.compare_digest(expected, signature)
+        return _hmac.compare_digest(_hmac.digest(public_key, payload, "sha256"), signature)
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")
 
 

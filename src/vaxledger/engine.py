@@ -92,6 +92,8 @@ __all__ = [
 # The deployment: one peer per member state, and the ordering cluster's
 # instances in ROLES order (the ordering-bandwidth sum runs in this order).
 PEER_HOSTS = tuple(f"peer-{ms}" for ms in EU_MEMBER_STATES)
+_PEER = dict(zip(EU_MEMBER_STATES, PEER_HOSTS))  # member state -> its peer host
+_CLIENT = {ms: f"client-{ms}" for ms in EU_MEMBER_STATES}  # member state -> its client host
 ORDERING_HOSTS = tuple(f"{role}-{i}" for role in ROLES for i in range(ROLE_SIZES[role]))
 # Preloaded records are sealed into setup blocks of this many transactions.
 SETUP_BLOCK_TXS = 500
@@ -122,14 +124,6 @@ def _tx_id(*fields) -> bytes:
 def _world_key(config: ScenarioConfig) -> tuple:
     """The config values a `SetupWorld` reads: step and seed (its tx ids) and the envelope size."""
     return config.step, config.seed, config.service_profile.envelope_bytes
-
-
-def _peer_host(ms: str) -> str:
-    return f"peer-{ms}"
-
-
-def _client_host(ms: str) -> str:
-    return f"client-{ms}"
 
 
 class SetupWorld:
@@ -384,7 +378,7 @@ class LevelRun:
         offset, so requests started in arrival order are served FIFO."""
         self.started += 1
         delivery = self.net.post(
-            _client_host(ms), _peer_host(ms), self.profile.proposal_bytes, "proposal", arrived_at
+            _CLIENT[ms], _PEER[ms], self.profile.proposal_bytes, "proposal", arrived_at
         )
         finish = self.endorse_stations[ms].enqueue(
             delivery + self.profile.rest_overhead_us, self.profile.endorse_us
@@ -405,9 +399,9 @@ class LevelRun:
         if not self.cluster.available:
             self._fail_request(ms)
             return
-        seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
+        seq_host = self.cluster.up_hosts["sequencer"][0]
         delivery = self.net.post(
-            _peer_host(ms), seq_host, self.profile.envelope_bytes, "envelope", self.queue.clock
+            _PEER[ms], seq_host, self.profile.envelope_bytes, "envelope", self.queue.clock
         )
         finish = self.orderer_station.enqueue(delivery, self.profile.orderer_per_envelope_us)
         self.queue.schedule(finish, lambda: self._replicate(tx, ms, arrived_at))
@@ -417,10 +411,10 @@ class LevelRun:
         if not self.cluster.available:
             self._fail_request(ms)
             return
-        ups = [i for i, up in enumerate(self.cluster.status["broker"]) if up]
-        broker = ups[self._broker_rr % len(ups)]
+        brokers = self.cluster.up_hosts["broker"]
+        broker = brokers[self._broker_rr % len(brokers)]
         self._broker_rr += 1
-        seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
+        seq_host = self.cluster.up_hosts["sequencer"][0]
 
         def at_broker():
             envelope = Envelope(
@@ -436,7 +430,7 @@ class LevelRun:
             self._pending_acks[tx.tx_id] = (ms, arrived_at)
             self._try_cut()
 
-        self.net.send(seq_host, f"broker-{broker}", self.profile.envelope_bytes, "envelope", at_broker)
+        self.net.send(seq_host, broker, self.profile.envelope_bytes, "envelope", at_broker)
 
     def _fail_request(self, ms: str) -> None:
         self.errors += 1
@@ -463,7 +457,7 @@ class LevelRun:
         a valid transaction, an error for an invalid one. Runs only while the
         cluster is available, so a sequencer leads."""
         block, flags = self.setup.seal(self.chain, self.state, batch)
-        answers = {ms: [] for ms in EU_MEMBER_STATES}  # arrival time, or None on error
+        answers = []  # (ms, arrival time or None on error)
         for tx, flag in zip(block.transactions, flags):
             ms, arrived_at = self._pending_acks.pop(tx.tx_id)
             if flag.valid:
@@ -472,24 +466,24 @@ class LevelRun:
                 self.invalid_txs += 1
                 self.errors += 1
                 arrived_at = None
-            answers[ms].append(arrived_at)
+            answers.append((ms, arrived_at))
+        answers.sort(key=lambda answer: EU_MEMBER_STATES.index(answer[0]))  # in peer order
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
-        seq_host = f"sequencer-{self.cluster.lead_instance('sequencer')}"
+        seq_host = self.cluster.up_hosts["sequencer"][0]
         commit_service = self.profile.commit_per_tx_us * len(batch)
 
         # An event: transit grows with block size, so blocks may arrive out of seal order.
         def delivered():
             finish = self.commit_station.enqueue(self.queue.clock, commit_service)
-            for ms, arrivals in answers.items():
-                for arrived_at in arrivals:
-                    self._respond(ms, self.profile.endorsement_bytes, arrived_at, finish)
+            for ms, arrived_at in answers:
+                self._respond(ms, self.profile.endorsement_bytes, arrived_at, finish)
 
         self.net.send(seq_host, PEER_HOSTS, block_bytes, "block", delivered)
 
     def _respond(self, ms: str, size: int, arrived_at: int | None, at: int) -> None:
         """Peer `ms` answers its client at `at`. A request that arrived at `arrived_at`
         has its response time end on delivery; a failed one (None) has none."""
-        delivery = self.net.post(_peer_host(ms), _client_host(ms), size, "response", at)
+        delivery = self.net.post(_PEER[ms], _CLIENT[ms], size, "response", at)
         self.completed += 1
         if arrived_at is not None:
             self.responses_us.append(delivery - arrived_at)
@@ -515,7 +509,7 @@ class LevelRun:
         self.started += 1
         record_ms, cert_hex = target
         delivery = self.net.post(
-            _client_host(ms), _peer_host(ms), self.profile.query_bytes, "query", arrived_at
+            _CLIENT[ms], _PEER[ms], self.profile.query_bytes, "query", arrived_at
         )
         service = round(self.profile.query_per_record_us * self.scan_count())
         finish = self.query_station.enqueue(delivery + self.profile.rest_overhead_us, service)
@@ -556,9 +550,7 @@ class LevelRun:
             p95_ms = ordered[rank] / 1000.0
         else:
             mean_ms = p95_ms = 0.0
-        peer_kb = max(
-            self.meter.host_kb_per_second(_peer_host(ms)) for ms in EU_MEMBER_STATES
-        )
+        peer_kb = max(self.meter.host_kb_per_second(host) for host in PEER_HOSTS)
         ordering_kb = sum(
             self.meter.host_kb_per_second(host) for host in ORDERING_HOSTS
         )

@@ -150,6 +150,7 @@ class BandwidthMeter:
     A message of size S (TLS overhead included) counts S at the sender and S
     at the receiver. Traffic outside the window is excluded from the per-host
     totals but still enters the global totals used by the conservation check.
+    Copies received by several hosts at one instant are clipped once.
     """
 
     def __init__(self, window_us: int):
@@ -158,21 +159,24 @@ class BandwidthMeter:
         self.total_sent = 0
         self.total_received = 0
 
-    def _account(self, host: str, size: int, at: int, step: int, count: int) -> None:
+    def _account(self, hosts: tuple, size: int, at: int, step: int, count: int) -> None:
         if 0 <= at < self.window_us:
-            inside = min(count, (self.window_us - 1 - at) // step + 1)
-            self._window_bytes[host] = self._window_bytes.get(host, 0) + size * inside
+            inside = size * min(count, (self.window_us - 1 - at) // step + 1)
+            window = self._window_bytes
+            for host in hosts:
+                window[host] = window.get(host, 0) + inside
 
     def on_send(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
         """Meter `count` messages of `size` bytes sent by `host` at `at`,
         `at + step`, and so on (step >= 1)."""
         self.total_sent += size * count
-        self._account(host, size, at, step, count)
+        self._account((host,), size, at, step, count)
 
-    def on_receive(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
-        """As `on_send`, for messages `host` receives."""
-        self.total_received += size * count
-        self._account(host, size, at, step, count)
+    def on_receive(self, host, size: int, at: int, step: int = 1, count: int = 1) -> None:
+        """As `on_send`, for messages `host`, or each host of a tuple, receives."""
+        hosts = (host,) if isinstance(host, str) else host
+        self.total_received += size * count * len(hosts)
+        self._account(hosts, size, at, step, count)
 
     def host_kb(self, host: str) -> float:
         """KB (1000 bytes) crossing the host over the whole measurement window."""
@@ -223,9 +227,9 @@ class MessageLayer:
         delivery = now + transit_delay_us(self.link, size)
 
         def deliver():
-            for host in dsts:
-                self.meter.on_receive(host, wire_size, delivery)
-                if self.tracer is not None:
+            self.meter.on_receive(dsts, wire_size, delivery)
+            if self.tracer is not None:
+                for host in dsts:
                     self.tracer.record(delivery, f"recv:{kind}", host, wire_size)
             on_delivery()
 

@@ -9,14 +9,12 @@ and are reproducible per (tps, duration, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "SECONDS_PER_YEAR",
     "EU_POPULATION",
     "BUSIEST_MS_ANNUAL_PASSENGERS",
-    "LoadDerivation",
     "required_registration_tps",
     "required_verification_tps",
     "display_tps",
@@ -30,33 +28,24 @@ EU_POPULATION = 447_500_000
 BUSIEST_MS_ANNUAL_PASSENGERS = 3_200_000_000
 
 
-@dataclass(frozen=True)
-class LoadDerivation:
-    tps: Fraction
-
-    @property
-    def display(self) -> str:
-        return display_tps(self.tps)
-
-
 def required_registration_tps(
     population: int, doses_per_person: int, horizon_seconds: int
-) -> LoadDerivation:
+) -> Fraction:
     """Transactions/s to register `doses_per_person` doses for everyone."""
     if population <= 0 or doses_per_person <= 0:
         raise ValueError("population and doses_per_person must be positive")
     if horizon_seconds <= 0:
         raise ValueError("horizon must be positive")
-    return LoadDerivation(tps=Fraction(population * doses_per_person, horizon_seconds))
+    return Fraction(population * doses_per_person, horizon_seconds)
 
 
-def required_verification_tps(annual_passengers: int, horizon_seconds: int) -> LoadDerivation:
+def required_verification_tps(annual_passengers: int, horizon_seconds: int) -> Fraction:
     """Transactions/s to verify every passenger at the busiest member state."""
     if annual_passengers <= 0:
         raise ValueError("annual_passengers must be positive")
     if horizon_seconds <= 0:
         raise ValueError("horizon must be positive")
-    return LoadDerivation(tps=Fraction(annual_passengers, horizon_seconds))
+    return Fraction(annual_passengers, horizon_seconds)
 
 
 def display_tps(tps: Fraction) -> str:

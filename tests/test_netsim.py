@@ -377,6 +377,40 @@ class TestEngineNetProperties:
         assert run.meter.host_kb("coordinator-0") == pytest.approx(kb0, abs=1e-9)
         assert run.meter.host_kb("coordinator-1") == pytest.approx(kb1, abs=1e-9)
 
+    def test_simulate_trace_bytes_pinned(self, tmp_path):
+        """The raw `simulate --trace` file of a short register level with a
+        broker fault and a two-broker outage: 14 blocks, each traced as 27
+        send and 27 receive records, in peer order. No flow digest hashes
+        those per-copy records, so their order is pinned here."""
+        import json
+
+        from click.testing import CliRunner
+
+        from vaxledger.cli import main
+
+        config = {
+            "step": "register",
+            "tps_levels": [28],
+            "duration_seconds": 1,
+            "fault_schedule": [
+                [0.3, "broker", 0, "down"],
+                [0.45, "broker", 1, "down"],
+                [0.5, "broker", 1, "up"],
+                [0.6, "broker", 0, "up"],
+            ],
+        }
+        config_path, trace = tmp_path / "scenario.json", tmp_path / "trace.ndjson"
+        config_path.write_text(json.dumps(config))
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(config_path), "--trace", str(trace)]
+        )
+        assert result.exit_code == 0, result.output
+        raw = trace.read_bytes()
+        assert raw.count(b'"event":"recv:block"') == 14 * 27
+        assert hashlib.sha256(raw).hexdigest() == (
+            "a7261edf313bf95433669dccd0ffcd8a4189cf0f64b581b03147c20cb99b917a"
+        )
+
     def test_causality_no_early_delivery(self):
         """Every recv in the trace happens at least link latency after a
         matching send of the same size from some host."""

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vaxledger.credential import HMAC_SHA256, generate_did, generate_keypair
 from vaxledger.ledger import Chain, Transaction, WorldState, apply_block, endorse_transaction
@@ -67,6 +67,37 @@ class TestAvailability:
                     downs[role] += 1
             expected = all(count <= 1 for count in downs.values())
             assert cluster.available == expected, bits
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        changes=st.lists(
+            st.tuples(st.sampled_from(ROLES), st.integers(0, 3), st.booleans()), max_size=30
+        )
+    )
+    @example(changes=[("broker", 1, False), ("broker", 1, False), ("broker", 1, True),
+                      ("sequencer", 0, False), ("sequencer", 0, True), ("sequencer", 0, True)])
+    @example(changes=[("coordinator", i % 3, i < 3) for i in range(6, -1, -1)])
+    def test_health_state_matches_status_after_every_change(self, changes):
+        """Any sequence of status changes, repeats and up-down-up included:
+        after each, `available`, every lead and the Up hosts equal a fresh
+        recomputation from the status vectors, which no one else can write."""
+        cluster = OrderingCluster()
+        model = {role: [True] * ROLE_SIZES[role] for role in ROLES}
+        for role, index, up in changes:
+            index %= ROLE_SIZES[role]
+            cluster.set_instance_status(role, index, up)
+            model[role][index] = up
+            assert cluster.status == {role: tuple(ups) for role, ups in model.items()}
+            assert cluster.available == all(ups.count(False) <= 1 for ups in model.values())
+            for name, ups in model.items():
+                up_indices = [i for i, flag in enumerate(ups) if flag]
+                assert cluster.lead_instance(name) == (up_indices[0] if up_indices else None)
+                assert cluster.up_hosts[name] == tuple(f"{name}-{i}" for i in up_indices)
+        with pytest.raises(TypeError):
+            cluster.status["broker"][0] = not model["broker"][0]
+        with pytest.raises(TypeError):
+            cluster.status["broker"] = (True,) * ROLE_SIZES["broker"]
+        assert cluster.status["broker"] == tuple(model["broker"])
 
     def test_bad_index_rejected(self):
         cluster = OrderingCluster()

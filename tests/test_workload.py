@@ -17,17 +17,17 @@ from vaxledger.workload import (
 
 class TestRegistrationLoad:
     def test_eu_two_dose_rate(self):
-        load = required_registration_tps(EU_POPULATION, 2, SECONDS_PER_YEAR)
-        assert load.tps == Fraction(895_000_000, 31_536_000)
-        assert Fraction("28.3") < load.tps < Fraction("28.5")
-        assert load.display == "28"
+        tps = required_registration_tps(EU_POPULATION, 2, SECONDS_PER_YEAR)
+        assert tps == Fraction(895_000_000, 31_536_000)
+        assert Fraction("28.3") < tps < Fraction("28.5")
+        assert display_tps(tps) == "28"
 
     def test_unit_case(self):
-        assert required_registration_tps(1, 1, 1).tps == 1
+        assert required_registration_tps(1, 1, 1) == 1
 
     def test_linearity_in_population(self):
-        base = required_registration_tps(10_000, 2, 1000).tps
-        doubled = required_registration_tps(20_000, 2, 1000).tps
+        base = required_registration_tps(10_000, 2, 1000)
+        doubled = required_registration_tps(20_000, 2, 1000)
         assert doubled == 2 * base
 
     def test_zero_horizon_rejected(self):
@@ -37,16 +37,16 @@ class TestRegistrationLoad:
 
 class TestVerificationLoad:
     def test_busiest_ms_rate(self):
-        load = required_verification_tps(BUSIEST_MS_ANNUAL_PASSENGERS, SECONDS_PER_YEAR)
-        assert Fraction("101.3") < load.tps < Fraction("101.6")
-        assert load.display == "≈100"
+        tps = required_verification_tps(BUSIEST_MS_ANNUAL_PASSENGERS, SECONDS_PER_YEAR)
+        assert Fraction("101.3") < tps < Fraction("101.6")
+        assert display_tps(tps) == "≈100"
 
     def test_unit_case(self):
-        assert required_verification_tps(SECONDS_PER_YEAR, SECONDS_PER_YEAR).tps == 1
+        assert required_verification_tps(SECONDS_PER_YEAR, SECONDS_PER_YEAR) == 1
 
     def test_linearity(self):
-        full = required_verification_tps(3_200_000_000, SECONDS_PER_YEAR).tps
-        half = required_verification_tps(1_600_000_000, SECONDS_PER_YEAR).tps
+        full = required_verification_tps(3_200_000_000, SECONDS_PER_YEAR)
+        half = required_verification_tps(1_600_000_000, SECONDS_PER_YEAR)
         assert half * 2 == full
 
     def test_zero_inputs_rejected(self):

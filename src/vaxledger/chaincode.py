@@ -115,8 +115,7 @@ def encode_call(name: str, args) -> bytes:
     for arg in args:
         if isinstance(arg, str):
             arg = arg.encode()
-        parts.append(struct.pack(">I", len(arg)))
-        parts.append(arg)
+        parts += struct.pack(">I", len(arg)), arg
     return b"".join(parts)
 
 
@@ -157,9 +156,9 @@ def _find_center_by_did(ctx: ChaincodeContext, issuer_did: str):
     """
     for key, entry in ctx.state.items_in_order():
         value = entry.value
-        if value.get("doc_type") == "center" and value.get("issuer_did") == issuer_did:
-            if value["ms"] == ctx.caller:
-                return key, value
+        if (value.get("issuer_did") == issuer_did and value.get("doc_type") == "center"
+                and value["ms"] == ctx.caller):
+            return key, value
     return None, None
 
 

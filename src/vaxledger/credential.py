@@ -3,7 +3,7 @@
 A credential is a signed assertion by a medical-center issuer about a vaccinated
 subject. Only its hash is ever anchored on the ledger; the credential itself
 travels with the citizen. All operations here are pure functions over frozen
-values and are safe to call concurrently.
+values and are safe to call concurrently, their bounded key memo `_PREPARED_KEYS` too.
 
 Canonical encoding
 ------------------
@@ -152,25 +152,45 @@ def generate_keypair(
         raise ValueError("key seed must be non-empty")
     secret = hashlib.sha256(b"vaxledger-key|" + owner.text.encode() + b"|" + seed).digest()
     if scheme_id == ED25519:
-        priv = Ed25519PrivateKey.from_private_bytes(secret)
-        from cryptography.hazmat.primitives.serialization import (
-            Encoding,
-            PublicFormat,
-        )
-
-        pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        pub = _prepared(ED25519, secret).public_key().public_bytes_raw()
         return KeyPair(public_key=pub, private_key=secret, owner=owner, scheme_id=scheme_id)
     if scheme_id == HMAC_SHA256:
         return KeyPair(public_key=secret, private_key=secret, owner=owner, scheme_id=scheme_id)
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")
 
 
+# (scheme_id, key bytes) -> the key prepared once: an Ed25519 key object, or the HMAC
+# key schedule, SHA-256 states after the key (hashed if longer) padded to 64 bytes (RFC 2104).
+_PREPARED_KEYS: dict = {}
+
+
+def _prepared(scheme_id: str, key: bytes):
+    key = key if type(key) is bytes else bytes(memoryview(key))  # any bytes-like key, as before
+    prepared = _PREPARED_KEYS.get((scheme_id, key))
+    if prepared is None:
+        if len(_PREPARED_KEYS) >= 128:  # a bound; a default world uses at most 55 keys
+            _PREPARED_KEYS.clear()
+        block = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\0")
+        prepared = _PREPARED_KEYS[scheme_id, key] = (
+            Ed25519PrivateKey.from_private_bytes(key) if scheme_id == ED25519
+            else tuple(hashlib.sha256(bytes(b ^ pad for b in block)) for pad in (0x36, 0x5C)))
+    return prepared
+
+
+def _hmac_sha256(key: bytes, payload: bytes) -> bytes:
+    inner, outer = _prepared(HMAC_SHA256, key)
+    inner, outer = inner.copy(), outer.copy()
+    inner.update(payload)
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 def sign_payload(scheme_id: str, private_key: bytes, payload: bytes) -> bytes:
     """Sign bytes under the named scheme. Both schemes are deterministic."""
     if scheme_id == ED25519:
-        return Ed25519PrivateKey.from_private_bytes(private_key).sign(payload)
+        return _prepared(ED25519, private_key).sign(payload)
     if scheme_id == HMAC_SHA256:
-        return _hmac.digest(private_key, payload, "sha256")
+        return _hmac_sha256(private_key, payload)
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")
 
 
@@ -182,7 +202,7 @@ def verify_payload(scheme_id: str, public_key: bytes, payload: bytes, signature:
         except (InvalidSignature, ValueError):
             return False
     if scheme_id == HMAC_SHA256:
-        return _hmac.compare_digest(_hmac.digest(public_key, payload, "sha256"), signature)
+        return _hmac.compare_digest(_hmac_sha256(public_key, payload), signature)
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")
 
 

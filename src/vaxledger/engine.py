@@ -268,6 +268,7 @@ class LevelRun:
         self.config = config
         self.level = level
         self.profile = config.service_profile
+        self.rest_us = self.profile.rest_overhead_us  # the REST hop's offset, as rounded once
         self.duration_us = config.duration_seconds * 1_000_000
         self.queue = EventQueue()
         self.meter = BandwidthMeter(window_us=self.duration_us)
@@ -300,7 +301,7 @@ class LevelRun:
         self._timer_armed_at: int | None = None  # the last batch deadline scheduled
         self._broker_rr = 0
         self._tx_counter = 0
-        self._scan_memo: int | None = None
+        self._scan_memo: tuple | None = None  # (records one query scans, its service µs)
         self._pending_acks: dict = {}
 
     # ------------------------------------------------------------------
@@ -316,7 +317,7 @@ class LevelRun:
         """Anchor centers and the pre-provisioned certificate population.
 
         A verify level also provisions one distinct target record per arrival
-        in `self.arrivals`; a target, (ms, cert hex), is read off its record.
+        in `self.arrivals`; `provisioned` holds the setup world's register transactions.
         Setup happens before the measurement window: no messages, no bandwidth,
         sealed directly into setup blocks so the chain replays cleanly from
         genesis. The world is a fork of the setup world.
@@ -325,14 +326,13 @@ class LevelRun:
         if self.config.step == "verify":
             total += len(self.arrivals)
         self.chain, self.state = self.setup.fork(total)
-        records = self.setup.records[:total]
-        self.provisioned = [(tx.submitter, tx.write_set[0][1]["cert_hash"]) for tx in records]
+        self.provisioned = self.setup.records[:total]
 
     def anchor(self, ms: str, cert: CertificateHash) -> None:
         """Anchor one more certificate, after `preload`, in its own setup block."""
         tx = self.setup.register_tx(self.state, ms, cert, self._next_tx_id())
         self.setup.commit_setup_block(self.chain, self.state, [tx])
-        self.provisioned.append((ms, cert.hex))
+        self.provisioned.append(tx)
 
     # ------------------------------------------------------------------
     # ambient traffic
@@ -381,7 +381,7 @@ class LevelRun:
             _CLIENT[ms], _PEER[ms], self.profile.proposal_bytes, "proposal", arrived_at
         )
         finish = self.endorse_stations[ms].enqueue(
-            delivery + self.profile.rest_overhead_us, self.profile.endorse_us
+            delivery + self.rest_us, self.profile.endorse_us
         )
         # Three defaults, not a four-cell closure: one such callback per request waits from
         # the level's start, and CPython keeps freed four-tuples on a free list.
@@ -495,12 +495,12 @@ class LevelRun:
         """Records one verification reads: the entries `rich_query` scans for
         the newest provisioned record. The query runs once per level."""
         if self._scan_memo is None:
-            _ms, cert_hex = self.provisioned[-1]
+            cert_hex = self.provisioned[-1].write_set[0][1]["cert_hash"]
             matches, scanned = rich_query(self.state, {"doc_type": "cert", "cert_hash": cert_hex})
             if not matches:
                 raise RuntimeError("provisioned verification target missing from state")
-            self._scan_memo = scanned
-        return self._scan_memo
+            self._scan_memo = scanned, round(self.profile.query_per_record_us * scanned)
+        return self._scan_memo[0]
 
     def start_verify(self, target: tuple, ms: str, arrived_at: int) -> None:
         """Client at `ms` asks its peer whether `target` = (record ms, cert hex)
@@ -511,8 +511,8 @@ class LevelRun:
         delivery = self.net.post(
             _CLIENT[ms], _PEER[ms], self.profile.query_bytes, "query", arrived_at
         )
-        service = round(self.profile.query_per_record_us * self.scan_count())
-        finish = self.query_station.enqueue(delivery + self.profile.rest_overhead_us, service)
+        self.scan_count()  # the level's one query, which also fixes its service time
+        finish = self.query_station.enqueue(delivery + self.rest_us, self._scan_memo[1])
         if self.state.get(cert_key(record_ms, cert_hex)) is None:
             self.not_found += 1
         self._respond(ms, self.profile.response_bytes, arrived_at, finish)
@@ -531,7 +531,8 @@ class LevelRun:
                 digest = hashlib.sha256(b"live-cert|%d|%d" % (level_tag, index)).digest()
                 self.start_register(CertificateHash(digest), ms, at)
             else:
-                target = self.provisioned[index % len(self.provisioned)]
+                tx = self.provisioned[index % len(self.provisioned)]
+                target = tx.submitter, tx.write_set[0][1]["cert_hash"]  # (record ms, cert hex)
                 self.start_verify(target, EU_MEMBER_STATES[0], at)
         self._book_gossip()
         self.queue.run_until(self.duration_us)
@@ -578,7 +579,7 @@ class LevelRun:
             saturated=saturated,
             accepted_submissions=self.accepted,
             committed_txs=self.committed,
-            scan_count=self._scan_memo or 0,
+            scan_count=self._scan_memo[0] if self._scan_memo else 0,
             processed_events=self.queue.processed,
         )
 

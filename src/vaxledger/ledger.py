@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
 
@@ -56,6 +56,7 @@ EU_MEMBER_STATES = (
     "DE", "GR", "HU", "IE", "IT", "LV", "LT", "LU", "MT", "NL",
     "PL", "PT", "RO", "SK", "SI", "ES", "SE",
 )
+_MEMBER_STATE_SET = frozenset(EU_MEMBER_STATES)
 
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 
@@ -77,7 +78,7 @@ class InvalidQueryError(LedgerError):
 
 
 def require_member_state(code: str) -> str:
-    if code not in EU_MEMBER_STATES:
+    if code not in _MEMBER_STATE_SET:
         raise ValueError(f"unknown member state code: {code!r}")
     return code
 
@@ -145,10 +146,6 @@ _VERSION = struct.Struct(">BII").pack  # a read version present: 0x01, block, tx
 _ABSENT = b"\xff"  # a key read as absent
 
 
-def _encode_value(value: dict) -> bytes:
-    return _CANONICAL_JSON(value).encode()
-
-
 def transaction_signing_payload(tx: Transaction) -> bytes:
     """Canonical bytes an endorsement signature covers (endorsements excluded).
 
@@ -156,18 +153,18 @@ def transaction_signing_payload(tx: Transaction) -> bytes:
     entry is followed by its version, and each write set entry's record is
     canonical JSON.
     """
-    submitter = tx.submitter.encode()
+    submitter, read_set, write_set = tx.submitter.encode(), tx.read_set, tx.write_set
     parts = [
         _U32(len(tx.tx_id)), tx.tx_id, _U32(len(submitter)), submitter,
-        _U32(len(tx.operation)), tx.operation, _U32(len(tx.read_set)),
+        _U32(len(tx.operation)), tx.operation, _U32(len(read_set)),
     ]
-    for key, version in tx.read_set:
+    for key, version in read_set:
         key = key.encode()
-        parts += (_U32(len(key)), key, _ABSENT if version is None else _VERSION(1, *version))
-    parts.append(_U32(len(tx.write_set)))
-    for key, value in tx.write_set:
-        key, value = key.encode(), _encode_value(value)
-        parts += (_U32(len(key)), key, _U32(len(value)), value)
+        parts += _U32(len(key)), key, _ABSENT if version is None else _VERSION(1, *version)
+    parts.append(_U32(len(write_set)))
+    for key, value in write_set:
+        key, value = key.encode(), _CANONICAL_JSON(value).encode()
+        parts += _U32(len(key)), key, _U32(len(value)), value
     return b"".join(parts)
 
 
@@ -186,7 +183,8 @@ def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
 def endorse_transaction(tx: Transaction, keypair) -> Transaction:
     """Return the transaction with the submitter's endorsement appended."""
     sig = sign_payload(keypair.scheme_id, keypair.private_key, transaction_signing_payload(tx))
-    return replace(tx, endorsements=tx.endorsements + ((tx.submitter, sig),))
+    return Transaction(tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set,
+                       tx.endorsements + ((tx.submitter, sig),), tx.payload_size)
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ class WorldState:
         h = hashlib.sha256()
         for key, entry in self._entries.items():
             h.update(_lp(key.encode()))
-            h.update(_lp(_encode_value(entry.value)))
+            h.update(_lp(_CANONICAL_JSON(entry.value).encode()))
             h.update(struct.pack(">II", *entry.version))
         return h.digest()
 

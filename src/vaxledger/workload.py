@@ -70,9 +70,10 @@ def generate_arrivals(tps, duration_seconds: int, mode: str = "uniform", seed: i
     if duration_seconds <= 0:
         raise ValueError("duration must be positive")
     if mode == "uniform":
+        n, d = (1_000_000 / rate).as_integer_ratio()  # the step, in integers
         count = round(rate * duration_seconds)
-        step = Fraction(1_000_000, 1) / rate
-        return tuple(round(step * k) for k in range(1, count + 1))
+        halves = (divmod(2 * n * k + d, 2 * d) for k in range(1, count + 1))  # q = ⌊nk/d + ½⌋
+        return tuple(q - (q & 1 and not r) for q, r in halves)  # a tie (r = 0) rounds to even
     if mode == "poisson":
         rng = random.Random(seed)
         horizon_us = duration_seconds * 1_000_000

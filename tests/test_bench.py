@@ -405,7 +405,8 @@ class TestSetupWorld:
         first.queue.drain()
         assert first.committed == 1
         # An overwrite replaces the fork's entry; the entry it shared stays as it was.
-        ms, cert_hex = first.provisioned[0]
+        record = first.provisioned[0]  # a register transaction of the setup world
+        ms, cert_hex = record.submitter, record.write_set[0][1]["cert_hash"]
         first.state.put(cert_key(ms, cert_hex), {"doc_type": "overwritten"}, (99, 0))
 
         assert setup.state.digest() == setup_digest
@@ -424,7 +425,8 @@ class TestSetupWorld:
         run = LevelRun(config, 2, setup=SetupWorld(config))
         run.preload()
         assert len(run.provisioned) == 504  # one full setup block and a partial one
-        for ms, cert_hex in run.provisioned:
+        for record in run.provisioned:
+            ms, cert_hex = record.submitter, record.write_set[0][1]["cert_hash"]
             assert cert_hex is run.state.get(cert_key(ms, cert_hex))["cert_hash"]
         keys = {key: key for key, _entry in run.state.items_in_order()}
         tx = run.setup.register_tx(run.state, "FR", CertificateHash(b"\x70" * 32), b"c" * 16)

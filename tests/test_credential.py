@@ -1,12 +1,19 @@
 """Credential construction, canonical encoding, hashing, and verification."""
 
 import hashlib
+import hmac
 import json
+import sys
+import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from hypothesis import example, given, settings, strategies as st
 
+from vaxledger import credential as credential_module
 from vaxledger.credential import (
+    ED25519,
+    HMAC_SHA256,
     CertificateHash,
     CredentialError,
     DecentralizedIdentifier,
@@ -19,8 +26,13 @@ from vaxledger.credential import (
     generate_keypair,
     hash_credential,
     issue_credential,
+    sign_payload,
     verify_credential,
+    verify_payload,
 )
+from vaxledger.engine import run_level
+from vaxledger.ledger import EU_MEMBER_STATES
+from vaxledger.scenario import default_verify_config
 
 YEAR = 31_536_000
 
@@ -278,3 +290,81 @@ class TestFixtureFile:
         doc = {**credential_to_dict(credential), **change}
         with pytest.raises(CredentialError):
             credential_from_dict(doc)
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8 % len(data)] ^= 1 << bit % 8
+    return bytes(flipped)
+
+
+class TestPreparedKeys:
+    """Signing keys are prepared once per key; what they sign stays the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.binary(max_size=130), payload=st.binary(max_size=4096), bit=st.integers(0, 2**15))
+    @example(key=b"", payload=b"", bit=0)
+    @example(key=b"k" * 64, payload=b"p", bit=3)  # one full block
+    @example(key=b"k" * 65, payload=b"p" * 4096, bit=9)  # hashed first
+    @example(key=b"k" * 130, payload=b"", bit=255)
+    def test_hmac_matches_stdlib_and_rejects_a_flipped_bit(self, key, payload, bit):
+        signature = sign_payload(HMAC_SHA256, key, payload)
+        assert signature == hmac.digest(key, payload, "sha256")
+        assert sign_payload(HMAC_SHA256, bytearray(key), payload) == signature
+        assert verify_payload(HMAC_SHA256, key, payload, signature)
+        assert not verify_payload(HMAC_SHA256, key, payload, _flip(signature, bit))
+        if payload:
+            assert not verify_payload(HMAC_SHA256, key, _flip(payload, bit), signature)
+
+    @settings(max_examples=20, deadline=None)
+    @given(secret=st.binary(min_size=32, max_size=32), payload=st.binary(max_size=512))
+    def test_ed25519_matches_a_key_built_per_call(self, secret, payload):
+        signature = sign_payload(ED25519, secret, payload)
+        assert signature == Ed25519PrivateKey.from_private_bytes(secret).sign(payload)
+        assert sign_payload(ED25519, secret, payload) == signature
+
+    def test_rejected_keys_still_raise(self):
+        with pytest.raises(ValueError):
+            sign_payload(ED25519, b"short", b"p")
+        with pytest.raises(TypeError):
+            sign_payload(HMAC_SHA256, "text key", b"p")
+
+    def test_concurrent_calls_agree_while_the_memo_is_cleared(self):
+        """More threads than cores sign with more keys than the memo holds."""
+        keys = [b"key-%d" % i for i in range(300)]
+        wrong = []
+
+        def sign_all(offset):
+            for i in range(len(keys)):
+                key = keys[(i + offset) % len(keys)]
+                if sign_payload(HMAC_SHA256, key, key) != hmac.digest(key, key, "sha256"):
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sign_all, args=(n * 75,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_one_key_schedule_per_key_over_a_verify_level(self, monkeypatch):
+        """A default verify level signs and checks every record, yet derives one
+        schedule per key: 27 member-state endorsement keys and the sealer's."""
+        derived = []
+
+        class Memo(dict):
+            def __setitem__(self, key, value):
+                derived.append(key)
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(credential_module, "_PREPARED_KEYS", Memo())
+        config = default_verify_config()
+        metrics, _run = run_level(config, config.tps_levels[0])
+        assert metrics.requests > 0
+        assert len(derived) == len(set(derived)) == len(EU_MEMBER_STATES) + 1

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from vaxledger.scenario import REGISTER_TPS_LEVELS, VERIFY_TPS_LEVELS, ScenarioConfig
 from vaxledger.workload import (
     BUSIEST_MS_ANNUAL_PASSENGERS,
     EU_POPULATION,
@@ -92,3 +94,38 @@ class TestArrivals:
             generate_arrivals(5, 0, "uniform")
         with pytest.raises(ValueError):
             generate_arrivals(5, 10, "gaussian")
+
+
+def _exact_uniform(tps, duration_seconds: int) -> tuple:
+    """The uniform schedule in exact rationals, rounded half to even."""
+    rate = Fraction(tps)
+    step = Fraction(10**6) / rate
+    return tuple(round(step * k) for k in range(1, round(rate * duration_seconds) + 1))
+
+
+class TestUniformArrivalsInIntegers:
+    """The integer schedule equals exact rational rounding, ties included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate=st.fractions(min_value=Fraction(1, 1000), max_value=250, max_denominator=10**4),
+        seconds=st.integers(min_value=1, max_value=20),
+    )
+    def test_equals_exact_rounding(self, rate, seconds):
+        assume(rate > 0 and round(rate * seconds) <= 5000)
+        assert generate_arrivals(rate, seconds) == _exact_uniform(rate, seconds)
+
+    def test_every_odd_arrival_ties(self):
+        rate = Fraction(2_000_000, 1001)  # a step of 500.5 us
+        arrivals = generate_arrivals(rate, 1)
+        assert arrivals == _exact_uniform(rate, 1)
+        assert arrivals[:4] == (500, 1001, 1502, 2002)  # 500.5 and 1501.5 go to the even side
+
+    @pytest.mark.parametrize("tps", sorted({*REGISTER_TPS_LEVELS, *VERIFY_TPS_LEVELS}))
+    def test_default_levels(self, tps):
+        duration = ScenarioConfig().duration_seconds
+        assert generate_arrivals(tps, duration) == _exact_uniform(tps, duration)
+
+    @pytest.mark.parametrize("tps", [28.4, 0.3, 99.99])
+    def test_float_tps(self, tps):
+        assert generate_arrivals(tps, 7) == _exact_uniform(tps, 7)

@@ -129,12 +129,13 @@ def _world_key(config: ScenarioConfig) -> tuple:
 class SetupWorld:
     """The setup that the levels of one scenario share, grown as they need it.
 
-    It owns the member-state and sealer keys, the center block and the
-    endorsed preload records in order. Each full block of `SETUP_BLOCK_TXS`
-    records is sealed onto `chain` and validated into `state` once, when a
-    level first needs it; `fork` hands a level its prefix. Setup transaction
-    ids carry no level, so a level's setup blocks are a prefix of a larger
-    level's, up to its final partial block.
+    It owns the member-state and sealer keys, the center block, built with
+    the world from setup tx ids 1–27, and the endorsed preload records in
+    order. Each full block of `SETUP_BLOCK_TXS` records is sealed onto
+    `chain` and validated into `state` once, when a level first needs it;
+    `fork` hands a level its prefix. Setup transaction ids carry no level, so
+    a level's setup blocks are a prefix of a larger level's, up to its final
+    partial block.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -149,11 +150,28 @@ class SetupWorld:
         )
         sealer_did = generate_did("ordering", b"sealer")
         self.sealer_key = generate_keypair(sealer_did, b"sealer", HMAC_SHA256)
-        self.center_dids: dict = {}
         self.chain = Chain()
         self.state = WorldState()
         self.records: list = []  # endorsed register transactions, in preload order
         self._tx_counter = 0
+        self.center_dids = {}  # member state -> the DID text of its one center
+        center_txs = []
+        for ms in EU_MEMBER_STATES:
+            did = generate_did("center", b"center|" + ms.encode())
+            self.center_dids[ms] = did.text
+            ctx = ChaincodeContext(caller=ms, state=self.state)
+            response = register_medical_center(
+                ctx,
+                MedicalCenterRecord(
+                    center_id=f"{ms.lower()}-national-1",
+                    ms=ms,
+                    name=f"{ms} National Vaccination Center",
+                    address=f"1 Health Way, {ms}",
+                    issuer_did=did.text,
+                ),
+            )
+            center_txs.append(self._endorse(ms, response, self._next_tx_id()))
+        self.commit_setup_block(self.chain, self.state, center_txs)
 
     def _next_tx_id(self) -> bytes:
         self._tx_counter += 1
@@ -199,27 +217,16 @@ class SetupWorld:
         if not all(f.valid for f in flags):
             raise RuntimeError("setup block contained invalid transactions")
 
-    def _grow(self, total: int) -> None:
-        """Build the center block, if not yet built, and endorse records up to
-        `total`, sealing each full block as it fills."""
-        if not self.chain.blocks:
-            center_txs = []
-            for ms in EU_MEMBER_STATES:
-                did = generate_did("center", b"center|" + ms.encode())
-                self.center_dids[ms] = did.text
-                ctx = ChaincodeContext(caller=ms, state=self.state)
-                response = register_medical_center(
-                    ctx,
-                    MedicalCenterRecord(
-                        center_id=f"{ms.lower()}-national-1",
-                        ms=ms,
-                        name=f"{ms} National Vaccination Center",
-                        address=f"1 Health Way, {ms}",
-                        issuer_did=did.text,
-                    ),
-                )
-                center_txs.append(self._endorse(ms, response, self._next_tx_id()))
-            self.commit_setup_block(self.chain, self.state, center_txs)
+    def fork(self, total: int) -> tuple:
+        """A new (chain, state) holding the centers and the first `total` records.
+
+        The chain takes the shared frozen blocks of the full record blocks; the
+        state takes their frozen entries, one per center and per record (each
+        writes one new key), shared too, since `WorldState.put` replaces an
+        entry rather than changing it. The final partial block is sealed and
+        validated on the fork alone. Records not yet endorsed are endorsed
+        first, each full block of them sealed onto the world's chain as it fills.
+        """
         records = self.records
         while len(records) < total:
             index = len(records)
@@ -228,23 +235,12 @@ class SetupWorld:
             records.append(self.register_tx(self.state, ms, cert, self._next_tx_id()))
             if len(records) % SETUP_BLOCK_TXS == 0:
                 self.commit_setup_block(self.chain, self.state, records[-SETUP_BLOCK_TXS:])
-
-    def fork(self, total: int) -> tuple:
-        """A new (chain, state) holding the centers and the first `total` records.
-
-        The chain takes the shared frozen blocks of the full record blocks; the
-        state takes their frozen entries, one per center and per record (each
-        writes one new key), shared too, since `WorldState.put` replaces an
-        entry rather than changing it. The final partial block is sealed and
-        validated on the fork alone.
-        """
-        self._grow(total)
         full = total // SETUP_BLOCK_TXS
         chain = Chain()
         for block in self.chain.blocks[: full + 1]:
             chain.append_block(block)
         state = self.state.copy_prefix(len(EU_MEMBER_STATES) + full * SETUP_BLOCK_TXS)
-        partial = self.records[full * SETUP_BLOCK_TXS : total]
+        partial = records[full * SETUP_BLOCK_TXS : total]
         if partial:
             self.commit_setup_block(chain, state, partial)
         return chain, state
@@ -347,15 +343,15 @@ class LevelRun:
     def _book_keepalives(self, until: int) -> None:
         """Meter the keepalive ticks not yet booked before `until` and within
         the level: each peer pings the lead coordinator, read now, which
-        answers on arrival. A fault books up to its instant before it applies."""
-        lead = self.cluster.lead_instance("coordinator")
-        host, size = f"coordinator-{lead}", self.profile.keepalive_bytes
-        peers = PEER_HOSTS if lead is not None else ()
+        answers on arrival; with every coordinator down, no one. A fault books
+        up to its instant before it applies."""
+        size = self.profile.keepalive_bytes
         at, step = self._keepalive_at, self.profile.keepalive_interval_ms * 1000
         ticks = max(0, -(-(min(until, self.duration_us + 1) - at) // step))
-        for peer in peers:
-            reply_at = self.net.book(peer, host, size, at, step, ticks)
-            self.net.book(host, peer, size, reply_at, step, ticks)
+        for lead in self.cluster.up_hosts["coordinator"][:1]:
+            for peer in PEER_HOSTS:
+                reply_at = self.net.book(peer, lead, size, at, step, ticks)
+                self.net.book(lead, peer, size, reply_at, step, ticks)
         self._keepalive_at += ticks * step
 
     def _schedule_faults(self) -> None:

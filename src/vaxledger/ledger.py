@@ -197,16 +197,18 @@ class EndorsementPolicy:
     roster: dict
     scheme_id: str
 
+    def __post_init__(self):
+        if not self.roster:
+            raise ValueError("policy roster must be non-empty")
+
 
 @dataclass(frozen=True)
 class ValidationResult:
     valid: bool
     reason: str | None = None
 
-    VALID = None  # filled in below
 
-
-ValidationResult.VALID = ValidationResult(valid=True)
+_VALID = ValidationResult(valid=True)
 
 
 def validate_transaction(
@@ -221,8 +223,6 @@ def validate_transaction(
     the committer from the transaction's fields, never the endorser's bytes:
     the signature is checked against what the block holds.
     """
-    if not policy.roster:
-        raise ValueError("policy roster must be non-empty")
     public_key = policy.roster.get(tx.submitter)
     signature = next((sig for ms, sig in tx.endorsements if ms == tx.submitter), None)
     if public_key is None or signature is None:
@@ -239,7 +239,7 @@ def validate_transaction(
         current = state.version_of(key)
         if current != (tuple(version) if version is not None else None):
             return ValidationResult(valid=False, reason="stale-read")
-    return ValidationResult.VALID
+    return _VALID
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,8 @@ class BandwidthMeter:
     """
 
     def __init__(self, window_us: int):
+        if window_us <= 0:
+            raise ValueError("window must be positive")
         self.window_us = window_us
         self._window_bytes: dict = {}  # host -> bytes inside the window
         self.total_sent = 0
@@ -183,8 +185,7 @@ class BandwidthMeter:
         return self._window_bytes.get(host, 0) / 1000.0
 
     def host_kb_per_second(self, host: str) -> float:
-        seconds = self.window_us / 1_000_000
-        return self.host_kb(host) / seconds if seconds > 0 else 0.0
+        return self.host_kb(host) / (self.window_us / 1_000_000)
 
 
 class TraceWriter:

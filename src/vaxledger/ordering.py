@@ -4,10 +4,11 @@ The cluster runs three roles (3 coordinators, 4 brokers, 3 sequencers), each
 instance Up or Down; instance i of a role is the host "<role>-<i>". It stays
 available while no role has more than one instance Down; an unavailable
 cluster rejects submissions, which callers count as errors. Health is state:
-`set_instance_status`, the only writer of the read-only status tuples, also
-recomputes `available` and each role's Up hosts, lead first, so a read costs
-nothing and a fault pays once. Internals are modeled as one logical replicated
-log gated by role health rather than protocol-faithfully.
+`set_instance_status`, the only writer of the private status tuples, also
+recomputes `available` and `up_hosts`, each role's Up hosts with its lead
+first, so a read costs nothing and a fault pays once. Internals are modeled
+as one logical replicated log gated by role health rather than
+protocol-faithfully.
 
 Batches are cut from the oldest pending envelopes when the pending count
 reaches max_message_count, pending bytes reach max_batch_bytes (the envelope
@@ -18,7 +19,6 @@ most one envelope), or the oldest pending envelope reaches batch_timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .credential import KeyPair, sign_payload
 from .ledger import Block, Transaction, compute_data_hash, compute_block_hash
@@ -69,8 +69,7 @@ class OrderingCluster:
 
     def __init__(self, batch_config: BatchConfig | None = None):
         self.batch = batch_config or BatchConfig()
-        self._status = {role: (True,) * ROLE_SIZES[role] for role in ROLES}
-        self.status = MappingProxyType(self._status)  # role -> one Up flag per instance
+        self._status = {role: (True,) * ROLE_SIZES[role] for role in ROLES}  # one Up flag per instance
         self.log: list[Envelope] = []
         self._cursor = 0  # log index of the first not-yet-batched envelope
         self._refresh()
@@ -87,17 +86,12 @@ class OrderingCluster:
     def _refresh(self) -> None:
         """Recompute the health state from the status: `available`, Up iff
         every role has at most one instance Down, and `up_hosts`, each role's
-        Up hosts in index order."""
+        Up hosts in index order: its lead, the lowest-index Up one, first."""
         self.available = all(ups.count(False) <= 1 for ups in self._status.values())
         self.up_hosts = {
             role: tuple(f"{role}-{i}" for i, up in enumerate(ups) if up)
             for role, ups in self._status.items()
         }
-
-    def lead_instance(self, role: str) -> int | None:
-        """Lowest-index Up instance of a role, or None if all are down."""
-        ups = self._status[role]
-        return ups.index(True) if True in ups else None
 
     def submit(self, envelope: Envelope) -> SubmitResult:
         """Append to the replicated log, if available; a resubmitted copy is logged again."""

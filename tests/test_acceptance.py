@@ -330,6 +330,54 @@ def test_verify_levels_match_deterministic_queue_oracle(default_sweeps):
     )
 
 
+def test_register_levels_match_closed_form_sum_of_hops(default_levels):
+    """Closed form of an uncontended registration, in integer µs: proposal
+    transit, REST, endorse, two envelope transits (peer to sequencer, and
+    sequencer to broker), orderer, batch timeout, block transit, commit and
+    response transit. No station queues at the default levels, so a block's
+    first transaction takes the sum exactly, and a later one in the same
+    block, having reached the log later, waits that much less for the cut.
+
+    The batch timeout sets the floor. Up to 16 TPS the arrival gap exceeds
+    it, so every block holds one transaction and every response is the
+    n = 1 sum. At 28 TPS each block holds two: the second transaction waits
+    one arrival gap less for the cut, but both pay one more commit and a
+    larger block transit, so the mean rises. A dip would need those terms to
+    cost less than the half gap saved on average."""
+    config, _setup, runs = default_levels["register"]
+    profile, link = config.service_profile, config.link
+
+    def hops_us(n):
+        return (
+            transit_delay_us(link, profile.proposal_bytes)
+            + profile.rest_overhead_us
+            + profile.endorse_us
+            + 2 * transit_delay_us(link, profile.envelope_bytes)
+            + profile.orderer_per_envelope_us
+            + config.batch.batch_timeout_us
+            + transit_delay_us(link, profile.block_base_bytes + n * profile.envelope_bytes)
+            + n * profile.commit_per_tx_us
+            + transit_delay_us(link, profile.endorsement_bytes)
+        )
+
+    assert hops_us(1) == 95_007 and hops_us(2) == 119_063
+    levels = dict(zip(config.tps_levels, runs))
+    for tps in (1, 2, 4, 8, 16):
+        _metrics, run = levels[tps]
+        assert len(run.responses_us) == len(run.arrivals) > 0, tps
+        assert set(run.responses_us) == {hops_us(1)}, tps
+    _metrics, run = levels[28]
+    firsts, seconds = run.arrivals[0::2], run.arrivals[1::2]
+    assert len(firsts) == len(seconds)
+    expected = [hops_us(2)] * len(firsts)
+    expected += [hops_us(2) - (second - first) for first, second in zip(firsts, seconds)]
+    assert sorted(run.responses_us) == sorted(expected)
+    print(
+        f"REGISTER ORACLE: PASS — {hops_us(1)} µs per request up to 16 TPS; "
+        f"at 28 TPS {hops_us(2)} µs less the arrival gap for a block's second transaction"
+    )
+
+
 def test_verify_md1_mean_wait_matches_pollaczek_khinchine():
     """M/D/1 oracle: with one query worker, Poisson arrivals at rate λ and
     scan time S, the mean wait in the query pool (response less both

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import importlib
 import math
 import sys
 import weakref
@@ -666,9 +665,7 @@ class TestCalibration:
         def no_simulation(*args, **kwargs):
             raise AssertionError("targets must be checked before any simulation")
 
-        # The package attribute `vaxledger.calibrate` is the function; patch the module.
-        module = importlib.import_module("vaxledger.calibrate")
-        monkeypatch.setattr(module, "run_scenario", no_simulation)
+        monkeypatch.setattr("vaxledger.calibrate.run_scenario", no_simulation)
         rows = [
             TargetRow("register", 1.0, 84.0, 395.0),
             TargetRow("register", 28.0, 133.0, 700.0),

@@ -4,6 +4,7 @@ the benchmark's traced runs wrap."""
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,14 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_package_attribute_is_the_module(module_name):
+    """No name bound in the package root shadows a submodule, so a dotted
+    path such as "vaxledger.calibrate.run_scenario" reaches the module."""
+    importlib.import_module(module_name)
+    assert getattr(vaxledger, module_name.rpartition(".")[2]) is sys.modules[module_name]
 
 
 def test_trace_targets_resolve():

@@ -92,6 +92,10 @@ class TestBlockHash:
 
 
 class TestValidation:
+    def test_empty_roster_rejected_when_the_policy_is_built(self):
+        with pytest.raises(ValueError):
+            EndorsementPolicy(roster={}, scheme_id=HMAC_SHA256)
+
     def test_self_signed_own_namespace_valid(self):
         state = WorldState()
         tx = make_tx("DE", "DE/cert/abc", {"doc_type": "cert"})

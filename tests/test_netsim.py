@@ -140,6 +140,11 @@ class TestServiceStation:
 
 
 class TestBandwidthMeter:
+    @pytest.mark.parametrize("window_us", [0, -1])
+    def test_nonpositive_window_rejected(self, window_us):
+        with pytest.raises(ValueError):
+            BandwidthMeter(window_us=window_us)
+
     def test_no_traffic(self):
         meter = BandwidthMeter(window_us=1_000_000)
         assert meter.host_kb("peer-DE") == 0.0

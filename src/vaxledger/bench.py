@@ -39,12 +39,13 @@ def run_scenario(
     *,
     trace_path=None,
     snapshot_path=None,
+    setup: SetupWorld | None = None,
 ) -> MetricsReport:
     """Run every TPS level of the scenario and aggregate a MetricsReport.
 
-    The levels fork one `SetupWorld`, built here and grown as they need it,
-    so each setup block is built once per call and levels may come in any
-    order.
+    The levels fork one `SetupWorld`, grown as they need it, so each setup
+    block is built once and levels may come in any order: `setup`, which calls
+    may share (built for the same step, seed and envelope size), or a new one.
 
     `trace_path` dumps the newline-delimited event trace of all levels;
     `snapshot_path` exports the final level's ledger for audit/determinism
@@ -54,7 +55,7 @@ def run_scenario(
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         tracer = TraceWriter(trace_fh) if trace_fh else None
-        setup = SetupWorld(config)
+        setup = setup if setup is not None else SetupWorld(config)
         for level in config.tps_levels:
             run = None  # release the previous level's world before the next is built
             metrics, run = run_level(config, level, tracer, setup)
@@ -67,10 +68,6 @@ def run_scenario(
     return MetricsReport(step=config.step, levels=tuple(levels))
 
 
-def _format_tps(tps: float) -> str:
-    return f"{tps:g}"
-
-
 def report_to_csv_text(report: MetricsReport) -> str:
     if not report.levels:
         raise ValueError("cannot export an empty report")
@@ -78,7 +75,7 @@ def report_to_csv_text(report: MetricsReport) -> str:
     out.write(CSV_HEADER + "\n")
     for m in report.levels:
         out.write(
-            f"{report.step},{_format_tps(m.tps)},{m.mean_response_ms:.1f},"
+            f"{report.step},{m.tps:g},{m.mean_response_ms:.1f},"
             f"{m.peer_bandwidth_kb:.1f},{m.ordering_bandwidth_kb:.1f},"
             f"{m.error_count},{'true' if m.saturated else 'false'}\n"
         )

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .bench import run_scenario
+from .engine import SetupWorld, _world_key
 from .scenario import (
     _STEPS,
     ScenarioConfig,
@@ -140,12 +141,16 @@ def _check_targets(targets) -> None:
         raise CalibrationError(f"targets missing required rows: {sorted(missing)}")
 
 
-def _residuals(profile, targets, register_config, verify_config):
+def _residuals(profile, targets, register_config, verify_config, worlds: dict):
+    """Residuals and instability of `profile`; `worlds` keeps each step's setup world while it fits."""
     by_step = {}
     for step, base in (("register", register_config), ("verify", verify_config)):
         levels = tuple(sorted({t.tps for t in targets if t.step == step}))
         config = replace(base, tps_levels=levels, service_profile=profile)
-        by_step[step] = run_scenario(config)
+        world = worlds.get(step)
+        if world is None or _world_key(world.config) != _world_key(config):
+            world = worlds[step] = SetupWorld(config)
+        by_step[step] = run_scenario(config, setup=world)
     residuals = []
     instability = 0.0
     for target in targets:
@@ -211,11 +216,12 @@ def calibrate(
     verify_config = verify_config or default_verify_config()
 
     evaluations = 0
+    worlds = {}  # step -> the setup world its evaluations share
 
     def evaluate(profile):
         nonlocal evaluations
         evaluations += 1
-        residuals, instability = _residuals(profile, targets, register_config, verify_config)
+        residuals, instability = _residuals(profile, targets, register_config, verify_config, worlds)
         return _objective(residuals) + instability, residuals
 
     best_profile = initial

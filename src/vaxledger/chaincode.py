@@ -72,7 +72,7 @@ class MedicalCenterRecord:
     issuer_did: str  # DID text form
 
 
-@dataclass
+@dataclass(slots=True)
 class ChaincodeContext:
     """One invocation's view: the caller's member state, the peer state it
     reads, and the read and write sets it accumulates."""
@@ -86,8 +86,7 @@ class ChaincodeContext:
         require_member_state(self.caller)
 
     def get_state(self, key: str):
-        value = self.state.get(key)
-        version = self.state.version_of(key)
+        value, version = self.state.read(key)
         self.read_set.append((key, version))
         return value
 
@@ -108,14 +107,18 @@ class VerifyResult:
     record: dict | None
 
 
+_U16 = struct.Struct(">H").pack
+_U32 = struct.Struct(">I").pack
+
+
 def encode_call(name: str, args) -> bytes:
     """Byte-stable call descriptor: name + length-prefixed argument list."""
     name_bytes = name.encode()
-    parts = [struct.pack(">H", len(name_bytes)), name_bytes, struct.pack(">H", len(args))]
+    parts = [_U16(len(name_bytes)), name_bytes, _U16(len(args))]
     for arg in args:
         if isinstance(arg, str):
             arg = arg.encode()
-        parts += struct.pack(">I", len(arg)), arg
+        parts += _U32(len(arg)), arg
     return b"".join(parts)
 
 
@@ -130,10 +133,8 @@ def register_medical_center(ctx: ChaincodeContext, center: MedicalCenterRecord) 
         raise AccessDeniedError(f"{ctx.caller} cannot register a center for {center.ms}")
     if not center.center_id or not center.name or not center.address or not center.issuer_did:
         raise NonconformantMessageError("center fields must be non-empty")
-    require_member_state(center.ms)
     key = center_key(center.ms, center.center_id)
-    existing = ctx.get_state(key)
-    if existing is not None:
+    if ctx.get_state(key) is not None:
         raise AlreadyRegisteredError(f"center {center.center_id} already registered")
     record = make_center_record(
         center.center_id, center.ms, center.name, center.address, center.issuer_did
@@ -143,9 +144,7 @@ def register_medical_center(ctx: ChaincodeContext, center: MedicalCenterRecord) 
         "register_medical_center",
         [center.center_id, center.ms, center.name, center.address, center.issuer_did],
     )
-    return ProposalResponse(
-        operation=operation, read_set=tuple(ctx.read_set), write_set=tuple(ctx.write_set)
-    )
+    return ProposalResponse(operation, tuple(ctx.read_set), tuple(ctx.write_set))
 
 
 def _find_center_by_did(ctx: ChaincodeContext, issuer_did: str):
@@ -184,12 +183,8 @@ def register_certificate(
         raise AlreadyRegisteredError(f"certificate {cert_hash.hex} already registered")
     record = make_cert_record(cert_hash.hex, ctx.caller, issuer_did)
     ctx.put_state(key, record)
-    operation = encode_call(
-        "register_certificate", [cert_hash.digest, issuer_did.encode()]
-    )
-    return ProposalResponse(
-        operation=operation, read_set=tuple(ctx.read_set), write_set=tuple(ctx.write_set)
-    )
+    operation = encode_call("register_certificate", [cert_hash.digest, issuer_did.encode()])
+    return ProposalResponse(operation, tuple(ctx.read_set), tuple(ctx.write_set))
 
 
 def verify_certificate(

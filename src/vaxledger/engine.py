@@ -61,7 +61,7 @@ from .chaincode import (
     register_certificate,
     register_medical_center,
 )
-from .credential import CertificateHash, HMAC_SHA256, generate_did, generate_keypair
+from .credential import CertificateHash, HMAC_SHA256, generate_did, generate_keypair, sign_payload
 from .ledger import (
     Chain,
     EU_MEMBER_STATES,
@@ -70,7 +70,7 @@ from .ledger import (
     WorldState,
     apply_block,
     cert_key,
-    endorse_transaction,
+    encode_signing_payload,
     rich_query,
     transaction_signing_payload,
 )
@@ -118,7 +118,7 @@ class LevelMetrics:
 
 def _tx_id(*fields) -> bytes:
     """A transaction id: the first 16 bytes of the sha256 of "tx|" and `fields`, joined by "|"."""
-    return hashlib.sha256("|".join(["tx", *map(str, fields)]).encode()).digest()[:16]
+    return hashlib.sha256(("tx" + "|%s" * len(fields) % fields).encode()).digest()[:16]
 
 
 def _world_key(config: ScenarioConfig) -> tuple:
@@ -178,16 +178,13 @@ class SetupWorld:
         return _tx_id(self.config.step, self.config.seed, self._tx_counter)
 
     def _endorse(self, ms: str, response, tx_id: bytes) -> Transaction:
-        """The transaction of chaincode `response`, endorsed by `ms`."""
-        tx = Transaction(
-            tx_id=tx_id,
-            submitter=ms,
-            operation=response.operation,
-            read_set=response.read_set,
-            write_set=response.write_set,
-            payload_size=self.config.service_profile.envelope_bytes,
-        )
-        return endorse_transaction(tx, self.ms_keys[ms])
+        """The transaction of chaincode `response`, endorsed by `ms` as `endorse_transaction` does."""
+        operation, read_set, write_set = response.operation, response.read_set, response.write_set
+        keypair = self.ms_keys[ms]
+        signature = sign_payload(keypair.scheme_id, keypair.private_key,
+                                 encode_signing_payload(tx_id, ms, operation, read_set, write_set))
+        return Transaction(tx_id, ms, operation, read_set, write_set, ((ms, signature),),
+                           self.config.service_profile.envelope_bytes)
 
     def register_tx(
         self, state: WorldState, ms: str, cert: CertificateHash, tx_id: bytes
@@ -507,7 +504,8 @@ class LevelRun:
         delivery = self.net.post(
             _CLIENT[ms], _PEER[ms], self.profile.query_bytes, "query", arrived_at
         )
-        self.scan_count()  # the level's one query, which also fixes its service time
+        if self._scan_memo is None:
+            self.scan_count()  # the level's one query, which also fixes its service time
         finish = self.query_station.enqueue(delivery + self.rest_us, self._scan_memo[1])
         if self.state.get(cert_key(record_ms, cert_hex)) is None:
             self.not_found += 1

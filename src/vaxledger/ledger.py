@@ -18,6 +18,7 @@ import itertools
 import json
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
 
@@ -39,6 +40,7 @@ __all__ = [
     "center_key",
     "make_cert_record",
     "make_center_record",
+    "encode_signing_payload",
     "transaction_signing_payload",
     "endorse_transaction",
     "validate_transaction",
@@ -140,32 +142,40 @@ class Transaction:
         require_member_state(self.submitter)
 
 
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Canonical JSON: "".join(_JSON(v, 0)) is json.dumps(v, sort_keys=True, separators=(",", ":")),
+# from one C encoder (sort_keys, allow_nan); it keeps no markers, so concurrent callers are safe.
+_JSON = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+                                    json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
 _U32 = struct.Struct(">I").pack
 _VERSION = struct.Struct(">BII").pack  # a read version present: 0x01, block, tx index
 _ABSENT = b"\xff"  # a key read as absent
 
 
-def transaction_signing_payload(tx: Transaction) -> bytes:
-    """Canonical bytes an endorsement signature covers (endorsements excluded).
+def encode_signing_payload(tx_id: bytes, submitter: str, operation: bytes, read_set, write_set) -> bytes:
+    """Canonical bytes an endorsement signature covers: a transaction's fields, endorsements excluded.
 
     Every byte string is length-prefixed (big-endian u32); each read set
     entry is followed by its version, and each write set entry's record is
     canonical JSON.
     """
-    submitter, read_set, write_set = tx.submitter.encode(), tx.read_set, tx.write_set
+    submitter = submitter.encode()
     parts = [
-        _U32(len(tx.tx_id)), tx.tx_id, _U32(len(submitter)), submitter,
-        _U32(len(tx.operation)), tx.operation, _U32(len(read_set)),
+        _U32(len(tx_id)), tx_id, _U32(len(submitter)), submitter,
+        _U32(len(operation)), operation, _U32(len(read_set)),
     ]
     for key, version in read_set:
         key = key.encode()
         parts += _U32(len(key)), key, _ABSENT if version is None else _VERSION(1, *version)
     parts.append(_U32(len(write_set)))
     for key, value in write_set:
-        key, value = key.encode(), _CANONICAL_JSON(value).encode()
+        key, value = key.encode(), "".join(_JSON(value, 0)).encode()
         parts += _U32(len(key)), key, _U32(len(value)), value
     return b"".join(parts)
+
+
+def transaction_signing_payload(tx: Transaction) -> bytes:
+    """`encode_signing_payload` of the transaction's fields."""
+    return encode_signing_payload(tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set)
 
 
 def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
@@ -175,7 +185,8 @@ def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
     """
     parts = [signing_payload, _U32(len(tx.endorsements))]
     for ms, signature in tx.endorsements:
-        parts.append(_lp(ms.encode()) + _lp(signature))
+        ms = ms.encode()
+        parts += _U32(len(ms)), ms, _U32(len(signature)), signature
     parts.append(_U32(tx.payload_size))
     return b"".join(parts)
 
@@ -191,7 +202,7 @@ def endorse_transaction(tx: Transaction, keypair) -> Transaction:
 class EndorsementPolicy:
     """Disjunctive ('OR') policy: the submitter's own signature suffices.
 
-    `roster` maps member-state code to its registered endorsement public key.
+    `roster` maps member-state code to its endorsement public key, read-only once built.
     """
 
     roster: dict
@@ -200,6 +211,7 @@ class EndorsementPolicy:
     def __post_init__(self):
         if not self.roster:
             raise ValueError("policy roster must be non-empty")
+        object.__setattr__(self, "roster", MappingProxyType(dict(self.roster)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +236,11 @@ def validate_transaction(
     the signature is checked against what the block holds.
     """
     public_key = policy.roster.get(tx.submitter)
-    signature = next((sig for ms, sig in tx.endorsements if ms == tx.submitter), None)
+    signature = None
+    for ms, sig in tx.endorsements:
+        if ms == tx.submitter:
+            signature = sig
+            break
     if public_key is None or signature is None:
         return ValidationResult(valid=False, reason="bad-signature")
     if payload is None:
@@ -236,8 +252,9 @@ def validate_transaction(
         if not key.startswith(prefix):
             return ValidationResult(valid=False, reason="foreign-namespace")
     for key, version in tx.read_set:
-        current = state.version_of(key)
-        if current != (tuple(version) if version is not None else None):
+        if version.__class__ is not tuple and version is not None:
+            version = tuple(version)
+        if state.version_of(key) != version:
             return ValidationResult(valid=False, reason="stale-read")
     return _VALID
 
@@ -258,7 +275,8 @@ def compute_data_hash(transactions, payloads=None) -> bytes:
         payloads = map(transaction_signing_payload, transactions)
     h = hashlib.sha256()
     for tx, payload in zip(transactions, payloads, strict=True):
-        h.update(_lp(encode_transaction(tx, payload)))
+        encoded = encode_transaction(tx, payload)
+        h.update(_U32(len(encoded)) + encoded)
     return h.digest()
 
 
@@ -295,6 +313,10 @@ class WorldState:
         entry = self._entries.get(key)
         return entry.version if entry is not None else None
 
+    def read(self, key: str) -> tuple:  # (value, version), both None if absent
+        entry = self._entries.get(key)
+        return (entry.value, entry.version) if entry is not None else (None, None)
+
     def put(self, key: str, value: dict, version: tuple) -> None:
         # Assigning an existing key keeps its place in the scan order.
         self._entries[key] = StateEntry(value, version)
@@ -315,7 +337,7 @@ class WorldState:
         h = hashlib.sha256()
         for key, entry in self._entries.items():
             h.update(_lp(key.encode()))
-            h.update(_lp(_CANONICAL_JSON(entry.value).encode()))
+            h.update(_lp("".join(_JSON(entry.value, 0)).encode()))
             h.update(struct.pack(">II", *entry.version))
         return h.digest()
 
@@ -405,11 +427,8 @@ SNAPSHOT_SCHEMA = "vaxledger-chain/1"
 
 def chain_snapshot_lines(chain: Chain):
     """Yield the newline-delimited snapshot records, one block per line."""
-    yield json.dumps(
-        {"schema": SNAPSHOT_SCHEMA, "blocks": len(chain.blocks), "tip": chain.tip_hash.hex()},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    yield "".join(_JSON({"schema": SNAPSHOT_SCHEMA, "blocks": len(chain.blocks),
+                         "tip": chain.tip_hash.hex()}, 0))
     for block in chain.blocks:
         record = {
             "number": block.number,
@@ -429,7 +448,7 @@ def chain_snapshot_lines(chain: Chain):
                 for tx in block.transactions
             ],
         }
-        yield json.dumps(record, sort_keys=True, separators=(",", ":"))
+        yield "".join(_JSON(record, 0))
 
 
 def write_snapshot(chain: Chain, path) -> None:

@@ -15,6 +15,7 @@ than being modeled directly.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -161,24 +162,26 @@ class BandwidthMeter:
         self.total_sent = 0
         self.total_received = 0
 
-    def _account(self, hosts: tuple, size: int, at: int, step: int, count: int) -> None:
+    def _account(self, hosts, size: int, at: int, step: int, count: int) -> None:
         if 0 <= at < self.window_us:
             inside = size * min(count, (self.window_us - 1 - at) // step + 1)
             window = self._window_bytes
-            for host in hosts:
-                window[host] = window.get(host, 0) + inside
+            if isinstance(hosts, str):
+                window[hosts] = window.get(hosts, 0) + inside
+            else:
+                for host in hosts:
+                    window[host] = window.get(host, 0) + inside
 
     def on_send(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
         """Meter `count` messages of `size` bytes sent by `host` at `at`,
         `at + step`, and so on (step >= 1)."""
         self.total_sent += size * count
-        self._account((host,), size, at, step, count)
+        self._account(host, size, at, step, count)
 
     def on_receive(self, host, size: int, at: int, step: int = 1, count: int = 1) -> None:
         """As `on_send`, for messages `host`, or each host of a tuple, receives."""
-        hosts = (host,) if isinstance(host, str) else host
-        self.total_received += size * count * len(hosts)
-        self._account(hosts, size, at, step, count)
+        self.total_received += size * count * (1 if isinstance(host, str) else len(host))
+        self._account(host, size, at, step, count)
 
     def host_kb(self, host: str) -> float:
         """KB (1000 bytes) crossing the host over the whole measurement window."""
@@ -213,6 +216,8 @@ class MessageLayer:
         self.link = link
         self.meter = meter
         self.tracer = tracer
+        # Message size -> `transit_delay_us`; the link is frozen, so each size is computed once.
+        self.transit_us = functools.cache(functools.partial(transit_delay_us, link))
 
     def send(self, src: str, dst, size: int, kind: str, on_delivery) -> int:
         """Dispatch one message now to `dst`, a host or a tuple of hosts each
@@ -225,7 +230,7 @@ class MessageLayer:
         if self.tracer is not None:
             for _ in dsts:
                 self.tracer.record(now, f"send:{kind}", src, wire_size)
-        delivery = now + transit_delay_us(self.link, size)
+        delivery = now + self.transit_us(size)
 
         def deliver():
             self.meter.on_receive(dsts, wire_size, delivery)
@@ -242,7 +247,7 @@ class MessageLayer:
         `at + step`, and so on, whose deliveries trigger nothing; returns the
         first delivery time."""
         wire_size = size + self.link.tls_overhead_bytes
-        delivery = at + transit_delay_us(self.link, size)
+        delivery = at + self.transit_us(size)
         self.meter.on_send(src, wire_size, at, step, count)
         self.meter.on_receive(dst, wire_size, delivery, step, count)
         return delivery

@@ -19,6 +19,7 @@ from vaxledger.bench import (
 from vaxledger.calibrate import (
     CalibrationError,
     TargetRow,
+    _residuals,
     calibrate,
     load_targets,
 )
@@ -26,7 +27,15 @@ from vaxledger.chaincode import AlreadyRegisteredError
 from vaxledger.credential import CertificateHash
 from vaxledger.engine import LevelRun, SetupWorld, run_level
 from vaxledger import bench, ledger
-from vaxledger.ledger import WorldState, apply_block, cert_key, compute_data_hash
+from vaxledger.ledger import (
+    EU_MEMBER_STATES,
+    Transaction,
+    WorldState,
+    apply_block,
+    cert_key,
+    compute_data_hash,
+    endorse_transaction,
+)
 from vaxledger.netsim import LinkParams, transit_delay_us
 from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig, Envelope
 from vaxledger.scenario import (
@@ -505,14 +514,30 @@ class TestSealEncodesOnce:
         assert block.data_hash == compute_data_hash(block.transactions)
 
     def test_verify_level_encodes_once_per_endorsement_and_commit(self, monkeypatch):
-        calls = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
-        endorsed = _count_calls(monkeypatch, ledger, "endorse_transaction")
+        """Every signing payload goes through `encode_signing_payload`: each
+        endorsed transaction's id is encoded once for its endorsement, and
+        once more for each commit of it."""
+        encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
+        commit_side = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
         applied = _count_calls(monkeypatch, sys.modules["vaxledger.engine"], "apply_block")
         config = default_verify_config()
-        _metrics, run = run_level(config, config.tps_levels[0], setup=SetupWorld(config))
-        committed = sum(len(block.transactions) for _state, block, *_ in applied)
-        assert committed == sum(len(block.transactions) for block in run.chain.blocks)
-        assert len(calls) == len(endorsed) + committed
+        setup = SetupWorld(config)
+        _metrics, run = run_level(config, config.tps_levels[0], setup=setup)
+        committed = [tx.tx_id for _state, block, *_ in applied for tx in block.transactions]
+        assert len(committed) == sum(len(block.transactions) for block in run.chain.blocks)
+        endorsed = [tx.tx_id for tx in setup.chain.blocks[0].transactions + tuple(setup.records)]
+        assert len(endorsed) == len(EU_MEMBER_STATES) + len(run.provisioned) > 0
+        assert [args[0].tx_id for args in commit_side] == committed
+        assert sorted(args[0] for args in encodes) == sorted(endorsed + committed)
+
+    def test_setup_endorsement_equals_endorse_transaction(self):
+        """A setup transaction, endorsed from the chaincode response, is the one
+        `endorse_transaction` makes of the same unendorsed transaction."""
+        setup, _chain, state = self._world()
+        tx = setup.register_tx(state, "DE", CertificateHash(b"\x07" * 32), b"e" * 16)
+        unendorsed = Transaction(tx.tx_id, tx.submitter, tx.operation, tx.read_set,
+                                 tx.write_set, payload_size=tx.payload_size)
+        assert endorse_transaction(unendorsed, setup.ms_keys["DE"]) == tx
 
     def test_write_set_changed_after_endorsement_is_rejected(self):
         setup, chain, state = self._world()
@@ -675,6 +700,36 @@ class TestCalibration:
         ]
         with pytest.raises(CalibrationError):
             calibrate(rows, DEFAULT_PROFILE)
+
+    def test_shared_worlds_give_the_residuals_of_fresh_ones(self, monkeypatch):
+        """Evaluations share each step's setup world, and build a new one only
+        when the envelope size changes it."""
+        register_config = default_register_config(tps_levels=(1,), duration_seconds=2)
+        verify_config = default_verify_config(
+            tps_levels=(1, 8), duration_seconds=2, preloaded_records=600
+        )
+        targets = [TargetRow(step, tps, 90.0, 400.0)
+                   for step, tps in (("register", 1.0), ("verify", 1.0), ("verify", 8.0))]
+        profiles = [
+            DEFAULT_PROFILE,
+            dataclasses.replace(DEFAULT_PROFILE, endorse_ms=4.0),
+            dataclasses.replace(DEFAULT_PROFILE, envelope_bytes=8000),
+            DEFAULT_PROFILE,
+        ]
+        fresh = [_residuals(p, targets, register_config, verify_config, {}) for p in profiles]
+        built = []
+
+        class CountedWorld(SetupWorld):
+            def __init__(self, config):
+                built.append((config.step, config.service_profile.envelope_bytes))
+                super().__init__(config)
+
+        monkeypatch.setattr("vaxledger.calibrate.SetupWorld", CountedWorld)
+        worlds = {}
+        shared = [_residuals(p, targets, register_config, verify_config, worlds) for p in profiles]
+        assert shared == fresh
+        assert built == [(step, size) for size in (7000, 8000, 7000)
+                         for step in ("register", "verify")]
 
     def test_self_consistency_recovers_known_profile(self):
         """Generate targets from a known profile, perturb one parameter, and

@@ -1,6 +1,7 @@
 """Chain integrity, endorsement-policy validation, world state, and queries."""
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from vaxledger.credential import HMAC_SHA256, generate_did, generate_keypair
 from vaxledger.ledger import (
+    _JSON,
     Block,
     BrokenChainError,
     Chain,
@@ -95,6 +97,19 @@ class TestValidation:
     def test_empty_roster_rejected_when_the_policy_is_built(self):
         with pytest.raises(ValueError):
             EndorsementPolicy(roster={}, scheme_id=HMAC_SHA256)
+
+    def test_roster_is_a_read_only_copy(self):
+        """Once built, a policy's roster can be emptied neither through the
+        dict it was built from nor through the policy."""
+        roster = dict(POLICY.roster)
+        policy = EndorsementPolicy(roster=roster, scheme_id=HMAC_SHA256)
+        roster.clear()
+        with pytest.raises(AttributeError):
+            policy.roster.clear()
+        with pytest.raises(TypeError):
+            policy.roster["DE"] = KEYS["FR"].public_key
+        tx = make_tx("DE", "DE/cert/abc", {"doc_type": "cert"})
+        assert validate_transaction(tx, policy, WorldState()).valid
 
     def test_self_signed_own_namespace_valid(self):
         state = WorldState()
@@ -333,6 +348,21 @@ class TestQueries:
         ]
         assert matches == naive
         assert scanned == n
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(), values, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+def test_canonical_json_equals_json_dumps(value):
+    """The prebuilt encoder writes what `json.dumps` writes, non-ASCII text,
+    non-finite floats and nesting included."""
+    assert "".join(_JSON(value, 0)) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class TestSnapshot:

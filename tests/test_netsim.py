@@ -52,6 +52,21 @@ class TestTransitDelay:
         with pytest.raises(ValueError):
             transit_delay(LinkParams(), 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        latency=st.integers(0, 10**6),
+        bandwidth=st.integers(1, 10**10),
+        overhead=st.integers(0, 200),
+        sizes=st.lists(st.integers(1, 10**6), min_size=1, max_size=20),
+    )
+    def test_memoized_transit_equals_transit_delay_us(self, latency, bandwidth, overhead, sizes):
+        link = LinkParams(latency_us=latency, bandwidth_bps=bandwidth, tls_overhead_bytes=overhead)
+        layer = MessageLayer(EventQueue(), link, BandwidthMeter(window_us=1))
+        for size in sizes + sizes:  # each size computed once, then read from the memo
+            assert layer.transit_us(size) == transit_delay_us(link, size)
+        with pytest.raises(ValueError):
+            layer.transit_us(0)
+
     def test_bad_link_params_rejected(self):
         with pytest.raises(ValueError):
             LinkParams(bandwidth_bps=0)
@@ -173,6 +188,28 @@ class TestBandwidthMeter:
 
 def _window_bytes(meter, hosts):
     return {host: round(meter.host_kb(host) * 1000) for host in hosts}
+
+
+class TestSingleHostMetering:
+    """A host named alone is metered as the one-host tuple would be."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        at=st.integers(-10, 1_200_000),
+        step=st.integers(1, 400_000),
+        count=st.integers(0, 40),
+        size=st.integers(1, 20_000),
+    )
+    def test_single_host_equals_one_host_tuple(self, at, step, count, size):
+        alone, in_tuple = BandwidthMeter(window_us=1_000_000), BandwidthMeter(window_us=1_000_000)
+        alone.on_receive("h", size, at, step, count)
+        in_tuple.on_receive(("h",), size, at, step, count)
+        assert _window_bytes(alone, "h") == _window_bytes(in_tuple, "h")
+        assert alone.total_received == in_tuple.total_received == size * count
+        sent = BandwidthMeter(window_us=1_000_000)
+        sent.on_send("h", size, at, step, count)
+        assert _window_bytes(sent, "h") == _window_bytes(in_tuple, "h")
+        assert sent.total_sent == size * count
 
 
 class TestSeriesBooking:

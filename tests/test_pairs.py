@@ -1,7 +1,12 @@
 """The pair harness's summary: medians, quartiles, wins and the claim rule."""
 
 import importlib.util
+import json
+import platform
+import sys
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
@@ -68,3 +73,26 @@ def test_claim_fails_when_the_change_fails_more_operations():
     summary = pairs.summarize(runs, WALL)
     assert summary["wall_s"]["change_wins"] == 10
     assert not summary["wall_s"]["claim_holds"]
+
+
+@pytest.mark.parametrize("bytecode", [None, "1"])
+def test_output_records_python_and_bytecode_setting(tmp_path, monkeypatch, bytecode):
+    """Each workload's entry names the Python version and whether workers
+    compiled from source (``PYTHONDONTWRITEBYTECODE``), on which ``peak_rss_mb`` depends."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": WALL}))
+    if bytecode is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", bytecode)
+    monkeypatch.setattr(pairs, "run_once", lambda checkout, workload, seed: _side(1.0))
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                                      "--workloads", "verify_sweep", "--pairs", "2",
+                                      "--out", str(out)])
+    assert pairs.main() == 0
+    entry = json.loads(out.read_text())["main"]["verify_sweep"]
+    assert entry["environment"] == {"python": platform.python_version(),
+                                    "PYTHONDONTWRITEBYTECODE": bytecode}
+    assert entry["summary"]["pairs"] == 2

@@ -17,7 +17,10 @@ by more than the parent's interquartile range.
 
 The output file keeps one entry per ``--label``, so a later invocation (say,
 one pair on a held-out seed, ``--first-pair 11 --pairs 1 --label held_out``)
-adds to it. The script reads ``BENCHMARK.json`` and the runs' output only;
+adds to it. Each workload's entry records the environment its runs shared:
+the Python version, and ``PYTHONDONTWRITEBYTECODE``, which decides whether
+every worker compiles its modules from source, and so moves ``peak_rss_mb``
+with the source text. The script reads ``BENCHMARK.json`` and the runs' output only;
 it imports nothing from either checkout.
 """
 
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import statistics
 import subprocess
@@ -47,6 +52,12 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     result["digests"] = dict(m.groups() for m in map(_DIGEST_LINE.match, lines) if m)
     return result
+
+
+def environment() -> dict:
+    """What the runs share beyond the two checkouts that can move their figures."""
+    return {"python": platform.python_version(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -112,7 +123,8 @@ def main() -> int:
             print(f"{workload} pair {pair}: " + ", ".join(
                 f"{side} {run[side].get('metrics', {}).get('wall_s', {}).get('value', 'failed')}"
                 for side in SIDES), flush=True)
-        entry[workload] = {"summary": summarize(runs, metrics), "runs": runs}
+        entry[workload] = {"environment": environment(), "summary": summarize(runs, metrics),
+                           "runs": runs}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

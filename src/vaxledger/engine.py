@@ -1,7 +1,7 @@
 """End-to-end scenario engine: drives register/verify flows over the simulator.
 
 One `LevelRun` owns the world of one offered-TPS level: 27 peers and their
-shared replicated ledger, the ordering cluster, per-role service stations, and
+shared replicated ledger, the ordering cluster, its step's stations, and
 ambient gossip/keepalive traffic. Its ledger starts as a fork of a
 `SetupWorld`, which the levels of one scenario share: the setup blocks of a
 level are a prefix of a larger level's, up to its final partial block, so each
@@ -246,6 +246,7 @@ class SetupWorld:
 class LevelRun:
     """A single (step, tps level) execution over its own simulated world.
 
+    `stations` maps each role to the stations its step's jobs enter, the only ones built.
     `preload` forks `chain` and `state` off `setup`, which must have been built
     for the same step, seed and envelope size; without one, the run builds a
     private `SetupWorld`. `arrivals` is the level's request schedule, in µs.
@@ -276,11 +277,15 @@ class LevelRun:
 
         self.cluster = OrderingCluster(config.batch)
 
-        window = self.duration_us
-        self.endorse_stations = {ms: ServiceStation(window) for ms in EU_MEMBER_STATES}
-        self.commit_station = ServiceStation(window)
-        self.query_station = ServiceStation(window, self.profile.query_workers)
-        self.orderer_station = ServiceStation(window)
+        if config.step == "register":
+            self.endorse_stations = {ms: ServiceStation(self.duration_us) for ms in EU_MEMBER_STATES}
+            self.orderer_station = ServiceStation(self.duration_us)
+            self.commit_station = ServiceStation(self.duration_us)
+            self.stations = {"endorse": tuple(self.endorse_stations.values()),
+                             "orderer": (self.orderer_station,), "commit": (self.commit_station,)}
+        else:
+            self.query_station = ServiceStation(self.duration_us, self.profile.query_workers)
+            self.stations = {"query": (self.query_station,)}
 
         self.responses_us: list = []
         self.errors = 0
@@ -549,18 +554,11 @@ class LevelRun:
         ordering_kb = sum(
             self.meter.host_kb_per_second(host) for host in ORDERING_HOSTS
         )
-        busy = {
-            "endorse": max(s.busy_fraction() for s in self.endorse_stations.values()),
-            "commit": self.commit_station.busy_fraction(),
-            "query": self.query_station.busy_fraction(),
-            "orderer": self.orderer_station.busy_fraction(),
-        }
+        busy = {role: max(s.busy_fraction() for s in group)
+                for role, group in self.stations.items()}
         # λ·S/c ≥ 1 at any station; every job comes from an arrival in (0, T].
-        stations = [*self.endorse_stations.values(), self.query_station]
-        stations += [self.commit_station, self.orderer_station]
-        saturated = self.errors > 0 or any(
-            s.offered_us >= self.duration_us * len(s.free_at) for s in stations
-        )
+        saturated = self.errors > 0 or any(s.offered_us >= self.duration_us * len(s.free_at)
+                                           for group in self.stations.values() for s in group)
         return LevelMetrics(
             tps=float(self.level),
             requests=len(self.arrivals),

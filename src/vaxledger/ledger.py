@@ -59,6 +59,7 @@ EU_MEMBER_STATES = (
     "PL", "PT", "RO", "SK", "SI", "ES", "SE",
 )
 _MEMBER_STATE_SET = frozenset(EU_MEMBER_STATES)
+_NO_METADATA: dict = {}  # every cert record's `metadata`; a dict, as the C encoder needs
 
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 
@@ -94,14 +95,14 @@ def center_key(ms: str, center_id: str) -> str:
 
 
 def make_cert_record(cert_hex: str, ms: str, issuer_did: str) -> dict:
-    # `registered_at` and `metadata` stay in the schema, always empty.
+    # `registered_at` and `metadata` stay in the schema, always empty; nothing writes them.
     return {
         "doc_type": "cert",
         "cert_hash": cert_hex,
         "ms": ms,
         "issuer_did": issuer_did,
         "registered_at": None,
-        "metadata": {},
+        "metadata": _NO_METADATA,
     }
 
 

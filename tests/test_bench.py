@@ -349,10 +349,22 @@ class TestScenarioBehavior:
         run_scenario(default_register_config(tps_levels=(1, 2, 4), duration_seconds=1))
         assert live == [0, 0, 0]
 
-    def test_busy_fractions_reported(self, small_register_report):
-        busy = small_register_report.levels[0].busy_fractions
-        assert set(busy) == {"endorse", "commit", "query", "orderer"}
-        assert all(0 <= value <= 1 for value in busy.values())
+    def test_busy_fractions_reported(self, default_levels):
+        """A level reports the busiest station of each role its step builds."""
+        roles = {"register": {"endorse", "commit", "orderer"}, "verify": {"query"}}
+        for step, (_config, _setup, runs) in default_levels.items():
+            for metrics, run in runs:
+                busy = metrics.busy_fractions
+                assert set(busy) == set(run.stations) == roles[step], metrics.tps
+                assert all(0 <= value <= 1 for value in busy.values())
+
+    def test_every_built_station_is_entered(self, default_levels):
+        """A level builds only stations that its step's jobs enter: on every
+        default level, each takes at least one job."""
+        for step, (_config, _setup, runs) in default_levels.items():
+            for metrics, run in runs:
+                for role, group in run.stations.items():
+                    assert all(s.offered_us > 0 for s in group), (step, metrics.tps, role)
 
 
 SHORT_REGISTER = default_register_config(duration_seconds=2)
@@ -471,6 +483,71 @@ class TestSetupWorld:
         )
         shared, _run = run_level(config, 2, setup=SetupWorld(world_config))
         assert shared == run_level(config, 2)[0]
+
+
+# The ServiceTimeProfile fields that each step's flows read.
+READ_SETS = {
+    "register": {
+        "block_base_bytes", "commit_per_tx_ms", "endorse_ms", "endorsement_bytes",
+        "envelope_bytes", "gossip_bytes", "gossip_interval_ms", "keepalive_bytes",
+        "keepalive_interval_ms", "orderer_per_envelope_ms", "proposal_bytes", "rest_overhead_ms",
+    },
+    "verify": {
+        "envelope_bytes", "gossip_bytes", "gossip_interval_ms", "keepalive_bytes",
+        "keepalive_interval_ms", "query_bytes", "query_per_record_us", "query_workers",
+        "response_bytes", "rest_overhead_ms",
+    },
+}
+# One short level of each step; every flow of the step runs in it.
+SHORT_LEVELS = {
+    "register": default_register_config(tps_levels=(4,), duration_seconds=1),
+    "verify": default_verify_config(tps_levels=(4,), duration_seconds=1, preloaded_records=100),
+}
+PROFILE_FIELDS = {f.name: f for f in dataclasses.fields(ServiceTimeProfile)}
+
+
+class TestReadSets:
+    """Each step reads a known set of profile fields, and only those reach its report."""
+
+    @pytest.mark.parametrize("step", sorted(READ_SETS))
+    def test_read_set_recorded(self, monkeypatch, step):
+        config = SHORT_LEVELS[step]
+        reads = set()
+
+        def recording(profile, name):
+            if name in PROFILE_FIELDS:
+                reads.add(name)
+            return object.__getattribute__(profile, name)
+
+        monkeypatch.setattr(ServiceTimeProfile, "__getattribute__", recording)
+        report_to_csv_text(run_scenario(config))
+        assert reads == READ_SETS[step]
+
+    @pytest.fixture(scope="class")
+    def short_worlds(self):
+        """Per step, its short level's setup world and CSV at the default profile."""
+        worlds = {}
+        for step, config in SHORT_LEVELS.items():
+            setup = SetupWorld(config)
+            worlds[step] = setup, report_to_csv_text(run_scenario(config, setup=setup))
+        return worlds
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_fields_outside_read_set_leave_csv_unchanged(self, short_worlds, data):
+        """Perturbing any field a step does not read leaves its CSV bytes as they
+        were. The setup world is shared: no perturbed field is in its key."""
+        step = data.draw(st.sampled_from(sorted(READ_SETS)))
+        name = data.draw(st.sampled_from(sorted(set(PROFILE_FIELDS) - READ_SETS[step])))
+        if PROFILE_FIELDS[name].type == "int":
+            value = data.draw(st.integers(1, 10**6))
+        else:
+            value = data.draw(st.floats(0, 1e4))
+        config = SHORT_LEVELS[step]
+        profile = dataclasses.replace(config.service_profile, **{name: value})
+        setup, csv_text = short_worlds[step]
+        report = run_scenario(dataclasses.replace(config, service_profile=profile), setup=setup)
+        assert report_to_csv_text(report) == csv_text
 
 
 def _count_calls(monkeypatch, module, name) -> list:

@@ -25,6 +25,7 @@ from vaxledger.ledger import (
     compute_block_hash,
     compute_data_hash,
     endorse_transaction,
+    make_cert_record,
     rich_query,
     transaction_signing_payload,
     validate_transaction,
@@ -283,6 +284,19 @@ class TestApplyBlock:
         for block in chain.blocks:
             apply_block(replayed, block, POLICY)
         assert replayed.digest() == live.digest()
+
+
+def test_cert_records_share_one_empty_metadata(default_levels):
+    """Every cert record holds one shared `metadata` dict, and no default
+    verify level writes it."""
+    first, second = make_cert_record("aa", "DE", "did:a"), make_cert_record("bb", "FR", "did:b")
+    metadata = first["metadata"]
+    assert second["metadata"] is metadata
+    _config, _setup, runs = default_levels["verify"]
+    for _metrics, run in runs:
+        certs = [e.value for _key, e in run.state.items_in_order() if e.value["doc_type"] == "cert"]
+        assert all(value["metadata"] is metadata for value in certs)
+    assert type(metadata) is dict and metadata == {}
 
 
 class TestQueries:

@@ -559,13 +559,12 @@ FLOW_LEVELS = {
 
 def _flow_digest(metrics, run) -> str:
     """SHA-256 over what a level's request flows produce: responses in
-    order, every station's busy, offered and free-at times, per-host window
-    bytes, meter totals, request counters, metrics but the event count, and
-    the ledger's state digest and tip."""
+    order, the busy, offered and free-at times of every station the level
+    built, per-host window bytes, meter totals, request counters, metrics but
+    the event count, and the ledger's state digest and tip."""
     from vaxledger.engine import ORDERING_HOSTS, PEER_HOSTS
 
-    stations = [*run.endorse_stations.values(), run.query_station]
-    stations += [run.commit_station, run.orderer_station]
+    stations = [station for group in run.stations.values() for station in group]
     hosts = PEER_HOSTS + ORDERING_HOSTS + tuple(f"client-{ms}" for ms in EU_MEMBER_STATES)
     counters = (run.started, run.completed, run.errors, run.accepted, run.committed,
                 run.invalid_txs, run.not_found)
@@ -613,28 +612,28 @@ class TestFlowEquivalence:
     request is served, answered or metered, or to how ties order, shows here."""
 
     PINNED = {
-        "register@1": "f15ed80c0d638b6aaa891a6a52e6f8e67308a4cf29ca6d69ec25d8f03b53bc93",
-        "register@2": "623add73e7a1c273d95d0bb612d33a23069582e435f58327e92a5d21b3fa2834",
-        "register@4": "b6e602ade81a1dd3e3114b8bf5f052689159a417d963cef175b1d6676a2de27d",
-        "register@8": "510c5df0da44510285187fde3395ef8215f8e939d663370d40045ad3fdbcc3cb",
-        "register@16": "0ef5690350d9acf6f8be6ce393e1476cc9703e3952847340e161e8f55f13e57a",
-        "register@28": "138e060b3032dc99db4bab3808b360950cc91130a61600c9e6af8d12b4c082ba",
-        "verify@1": "87f8c446c3db850d998646d51c054af812fe097b512e0de3065303a19fc7ee5d",
-        "verify@2": "551a093a0baf65cf9055f4433db02a0d573bae2dfd2b848cc9c9e980a39afbad",
-        "verify@4": "f2e9ff72e266f40a06d10d9474c8851fffd9f22ae8d6aad4b0c3849e2c19f091",
-        "verify@8": "ae560ebcd836fd14955276a2419042b6b2b92321e410a089135d82b8c707aeee",
-        "verify@16": "17079e99c363f652cdecff34245405d50a2857c6dc50daca65e5c00577d7f310",
-        "verify@28": "376b7acb6ec494d24685a9101856ecea1a6fa1fe87a52398f75de0f9fbfb1b23",
-        "verify@50": "ce80f826afddc314fd8bdbcd3677e8958fc172e45db0e916223b9b02db1fdaa8",
-        "verify@100": "aba82df88503a3b2a7f0c602654af9980b26133d5395e7bf5a6e002e69e210bf",
-        "poisson-verify": "c3c4352487035760a5c22ab60cafeb77b39b1bf5e2cb1eb566169430b141558f",
-        "faulted-verify": "3eb5113e365324a0998cb2086817bf22435ed585bf612a0b7ef5b0d1e9133433",
-        "sequencer-outage": "7c551dd87857a47936578afcb49e247efc3fcce4c5f3fdbf52f06ff5a24c9cf7",
-        "broker-flap": "80f4c969af85aa1b663d73ca102303a4caf06c0c7bfae7441d5c186a788844cb",
-        "max-count-1": "733f7b431f1b97831c966c1d62e3be6bffd279542fedcfe1fe3593049b3fb407",
-        "poisson-register": "1812e79690c791048a91dff4e4b57be1c5fa28a135a175286082d47b3bb80912",
-        "zero-service-poisson": "84a5ebef983e023ab05d986b2ca800b6e2aa0545f395fd10dd44ee8c12020023",
-        "faults-on-finishes": "890218dbdc789ce8ddda6010418cc6a25477fde7a3fe05adc4b58ff4be188da5",
+        "register@1": "7cd3339e223911984a3ce036653d6f6650f3fe69e23bbf0fdee2efe0673efddc",
+        "register@2": "85c420e182edc8b16378a54e21064ba470842502dc28161ce944a28ff831fb23",
+        "register@4": "ce9fccdd290f51020c6d35a74bca79a8bf33c3e8caa02a6588072d8499842e7d",
+        "register@8": "698c1b8f5a73af1faa3d73c6ddac478c7cfd19d8d658a9b94592a37920d2fe3f",
+        "register@16": "3fa0facd7ca59d5b36171bb0d2abec90b444349ded16e314d50168ab830b1315",
+        "register@28": "0c84723ed90e7d8ea18f11f90601d42ee031d0d27ed29869ced058b189c6b113",
+        "verify@1": "04393348c46bc610ba7dfc51b77391eb631e1104fe4fa3c007cba5eae1f13d6e",
+        "verify@2": "210944db8b1cdb2c3131da96341bd82c02331610c27e0093150434ff1c61968f",
+        "verify@4": "38a4dbb47bd2e35ba7353000c7be09731e8104e099512800320a4db9ef63effc",
+        "verify@8": "3470df5512b1f11cd5c91910888bd3589a331f9c4dee9d87ced5882036dd6abe",
+        "verify@16": "07bf96efed876c0e88a0bd918bc4a063f92cc5486eeee6c9c6294e0b3e0fa9ed",
+        "verify@28": "c9114b630c3c88a4fda9adfe913ac88217956fe8c9bbf1a606769279f1adc7d5",
+        "verify@50": "0e13650f65ee2e96a4de664d43a0bca053f306ed7799b0dfdafb28a9ec80b19c",
+        "verify@100": "23fb496a66bc56787792d8a76979002dce43ad0592170f567690a7ff74411b96",
+        "poisson-verify": "1d681d339a221b9e7c22f9fa74bf05fd4e59dc623c1a0ff3708dba6703b80334",
+        "faulted-verify": "5db5ed64ecee7d914edde839f043d677032ede93e038baaca14dfedf9cdeae7a",
+        "sequencer-outage": "3a4c5789ffa5025155b676576ebd31c64b7ae4b690460d5f1b86b8cd8348f6b3",
+        "broker-flap": "85fbb8228c17aaf4fedbc2274f26995173d4066cd30e06a5c7579995bbad9f4f",
+        "max-count-1": "cb1eaa43eb4d29442806a6a081d7df15fd58ecb766741b1005d9230ce632b3c4",
+        "poisson-register": "aad4d99938ab345f5669007848fd1d2d9b1f23418b1c3b04968c1de54ab89ed7",
+        "zero-service-poisson": "d855f5bd7e9206a7b6b5923906451ec5601412f7625df439ca5299068d192923",
+        "faults-on-finishes": "1ba60bd0169358a359d230adbc16697cd593ac992721de8bb0e19cff34d7fb96",
     }
 
     def test_flow_digests_pinned(self, flow_digests):

@@ -94,6 +94,7 @@ __all__ = [
 PEER_HOSTS = tuple(f"peer-{ms}" for ms in EU_MEMBER_STATES)
 _PEER = dict(zip(EU_MEMBER_STATES, PEER_HOSTS))  # member state -> its peer host
 _CLIENT = {ms: f"client-{ms}" for ms in EU_MEMBER_STATES}  # member state -> its client host
+_PEER_ORDER = {ms: i for i, ms in enumerate(EU_MEMBER_STATES)}  # member state -> its peer's place
 ORDERING_HOSTS = tuple(f"{role}-{i}" for role in ROLES for i in range(ROLE_SIZES[role]))
 # Preloaded records are sealed into setup blocks of this many transactions.
 SETUP_BLOCK_TXS = 500
@@ -278,6 +279,10 @@ class LevelRun:
         self.cluster = OrderingCluster(config.batch)
 
         if config.step == "register":
+            # Service times as rounded once, like `rest_us`.
+            self.endorse_us = self.profile.endorse_us
+            self.orderer_us = self.profile.orderer_per_envelope_us
+            self.commit_per_tx_us = self.profile.commit_per_tx_us
             self.endorse_stations = {ms: ServiceStation(self.duration_us) for ms in EU_MEMBER_STATES}
             self.orderer_station = ServiceStation(self.duration_us)
             self.commit_station = ServiceStation(self.duration_us)
@@ -378,9 +383,7 @@ class LevelRun:
         delivery = self.net.post(
             _CLIENT[ms], _PEER[ms], self.profile.proposal_bytes, "proposal", arrived_at
         )
-        finish = self.endorse_stations[ms].enqueue(
-            delivery + self.rest_us, self.profile.endorse_us
-        )
+        finish = self.endorse_stations[ms].enqueue(delivery + self.rest_us, self.endorse_us)
         # Three defaults, not a four-cell closure: one such callback per request waits from
         # the level's start, and CPython keeps freed four-tuples on a free list.
         self.queue.schedule(finish, lambda c=cert, m=ms, t=arrived_at: self._endorsed(c, m, t))
@@ -401,7 +404,7 @@ class LevelRun:
         delivery = self.net.post(
             _PEER[ms], seq_host, self.profile.envelope_bytes, "envelope", self.queue.clock
         )
-        finish = self.orderer_station.enqueue(delivery, self.profile.orderer_per_envelope_us)
+        finish = self.orderer_station.enqueue(delivery, self.orderer_us)
         self.queue.schedule(finish, lambda: self._replicate(tx, ms, arrived_at))
 
     def _replicate(self, tx: Transaction, ms: str, arrived_at: int) -> None:
@@ -465,10 +468,10 @@ class LevelRun:
                 self.errors += 1
                 arrived_at = None
             answers.append((ms, arrived_at))
-        answers.sort(key=lambda answer: EU_MEMBER_STATES.index(answer[0]))  # in peer order
+        answers.sort(key=lambda answer: _PEER_ORDER[answer[0]])  # in peer order
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
         seq_host = self.cluster.up_hosts["sequencer"][0]
-        commit_service = self.profile.commit_per_tx_us * len(batch)
+        commit_service = self.commit_per_tx_us * len(batch)
 
         # An event: transit grows with block size, so blocks may arrive out of seal order.
         def delivered():

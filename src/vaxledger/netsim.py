@@ -114,10 +114,12 @@ class EventQueue:
 class ServiceStation:
     """FIFO service point with `workers` parallel servers.
 
-    `enqueue` books the earliest-available worker and returns the completion
-    time; busy time inside [0, window_us] accumulates for the utilization
-    report, and every job's service time into `offered_us`, the offered load
-    a capacity check compares with window × workers.
+    `free_at` is a min-heap of the workers' free times (the Kiefer–Wolfowitz
+    workload vector, in heap order): `enqueue` books the earliest-free worker
+    and returns the completion time; busy time inside [0, window_us]
+    accumulates for the utilization report, and every job's service time into
+    `offered_us`, the offered load a capacity check compares with
+    window × workers.
     """
 
     def __init__(self, window_us: int, workers: int = 1):
@@ -132,12 +134,12 @@ class ServiceStation:
 
     def enqueue(self, now: int, service_us: int) -> int:
         free_at = self.free_at
-        worker = free_at.index(min(free_at))  # the first earliest-free worker
-        start = max(now, free_at[worker])
+        start = free_at[0] if free_at[0] > now else now
         finish = start + service_us
-        free_at[worker] = finish
+        heapq.heapreplace(free_at, finish)
         self.offered_us += service_us
-        self.busy_us += max(0, min(finish, self.window_us) - min(start, self.window_us))
+        if start < self.window_us:  # finish >= start, so only the finish can pass the window end
+            self.busy_us += (finish if finish < self.window_us else self.window_us) - start
         return finish
 
     def busy_fraction(self) -> float:
@@ -151,7 +153,9 @@ class BandwidthMeter:
     A message of size S (TLS overhead included) counts S at the sender and S
     at the receiver. Traffic outside the window is excluded from the per-host
     totals but still enters the global totals used by the conservation check.
-    Copies received by several hosts at one instant are clipped once.
+    Copies received by several hosts at one instant are clipped once, and a
+    lone message whose delivery time is known when sent is metered at both
+    ends in one `on_message` call.
     """
 
     def __init__(self, window_us: int):
@@ -182,6 +186,16 @@ class BandwidthMeter:
         """As `on_send`, for messages `host`, or each host of a tuple, receives."""
         self.total_received += size * count * (1 if isinstance(host, str) else len(host))
         self._account(host, size, at, step, count)
+
+    def on_message(self, src: str, dst: str, size: int, sent_at: int, received_at: int) -> None:
+        """`on_send` and `on_receive` of one message, each end clipped at its own instant."""
+        self.total_sent += size
+        self.total_received += size
+        window, end = self._window_bytes, self.window_us
+        if 0 <= sent_at < end:
+            window[src] = window.get(src, 0) + size
+        if 0 <= received_at < end:
+            window[dst] = window.get(dst, 0) + size
 
     def host_kb(self, host: str) -> float:
         """KB (1000 bytes) crossing the host over the whole measurement window."""
@@ -233,7 +247,7 @@ class MessageLayer:
         delivery = now + self.transit_us(size)
 
         def deliver():
-            self.meter.on_receive(dsts, wire_size, delivery)
+            self.meter.on_receive(dst, wire_size, delivery)
             if self.tracer is not None:
                 for host in dsts:
                     self.tracer.record(delivery, f"recv:{kind}", host, wire_size)
@@ -253,10 +267,12 @@ class MessageLayer:
         return delivery
 
     def post(self, src: str, dst: str, size: int, kind: str, at: int) -> int:
-        """`book` one message sent at `at` and trace both of its ends; returns its delivery time."""
-        delivery = self.book(src, dst, size, at, 1, 1)
+        """Meter, without event, one message sent at `at` and trace both of
+        its ends; returns its delivery time."""
+        wire_size = size + self.link.tls_overhead_bytes
+        delivery = at + self.transit_us(size)
+        self.meter.on_message(src, dst, wire_size, at, delivery)
         if self.tracer is not None:
-            wire_size = size + self.link.tls_overhead_bytes
             self.tracer.record(at, f"send:{kind}", src, wire_size)
             self.tracer.record(delivery, f"recv:{kind}", dst, wire_size)
         return delivery

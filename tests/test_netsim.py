@@ -153,6 +153,29 @@ class TestServiceStation:
         assert booked.offered_us == dispatched.offered_us
         assert booked.free_at == dispatched.free_at
 
+    @settings(max_examples=300, deadline=None)
+    @given(workers=st.sampled_from((1, 2, 18)), window=st.integers(1, 5000), data=st.data())
+    def test_heap_matches_first_earliest_free_worker_list(self, workers, window, data):
+        """The heap station serves any job sequence, in any `now` order, as a
+        list of free times does when each job takes the first worker with the
+        least free time; only the order of `free_at` may differ."""
+        jobs = data.draw(st.lists(
+            st.tuples(st.integers(0, 2 * window), st.integers(0, window)), max_size=80
+        ))
+        free_at, busy, offered, finishes = [0] * workers, 0, 0, []
+        for now, service in jobs:
+            worker = free_at.index(min(free_at))
+            start = max(now, free_at[worker])
+            finish = start + service
+            free_at[worker] = finish
+            offered += service
+            busy += max(0, min(finish, window) - min(start, window))
+            finishes.append(finish)
+        station = ServiceStation(window, workers)
+        assert [station.enqueue(now, service) for now, service in jobs] == finishes
+        assert (station.busy_us, station.offered_us) == (busy, offered)
+        assert sorted(station.free_at) == sorted(free_at)
+
 
 class TestBandwidthMeter:
     @pytest.mark.parametrize("window_us", [0, -1])
@@ -273,6 +296,65 @@ class TestSeriesBooking:
         expected.update({d: wire if now + transit < self.WINDOW else 0 for d in dsts})
         assert _window_bytes(meter, expected) == expected
         assert meter.total_sent == meter.total_received == wire * copies
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        messages=st.lists(
+            st.tuples(st.sampled_from("abc"), st.sampled_from("abc"), st.integers(-5, 1_200_000),
+                      st.sampled_from((None, 0, 1))),
+            min_size=1, max_size=8,
+        ),
+        size=st.integers(1, 20_000),
+        latency=st.integers(0, 300_000),
+    )
+    def test_post_meters_as_one_message_series(self, messages, size, latency):
+        """`post` meters each message as `book(src, dst, size, at, 1, 1)` does:
+        the sender at `at` and the receiver at the delivery, each clipped by
+        the series formula for one message. A non-None end pins the send
+        (0) or the delivery (1) to the window end, or one off it."""
+        link = LinkParams(latency_us=latency)
+        wire, transit = size + link.tls_overhead_bytes, transit_delay_us(link, size)
+        meter = BandwidthMeter(window_us=self.WINDOW)
+        net = MessageLayer(EventQueue(), link, meter)
+        expected = dict.fromkeys("abc", 0)
+        for k, (src, dst, at, end) in enumerate(messages):
+            if end is not None:
+                at = self.WINDOW + k % 3 - 1 - end * transit
+            assert net.post(src, dst, size, "x", at) == at + transit
+            for host, t in ((src, at), (dst, at + transit)):
+                if 0 <= t < self.WINDOW:
+                    expected[host] += wire * min(1, (self.WINDOW - 1 - t) // 1 + 1)
+        assert _window_bytes(meter, "abc") == expected
+        assert meter.total_sent == meter.total_received == wire * len(messages)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        now=st.integers(0, 1_200_000),
+        size=st.integers(1, 20_000),
+        latency=st.integers(0, 300_000),
+        data=st.data(),
+    )
+    def test_send_to_host_equals_send_to_one_host_tuple(self, now, size, latency, data):
+        """A receiver named alone is metered and traced as the one-host tuple
+        is: the sender on sending, the receiver on delivery."""
+        link = LinkParams(latency_us=latency)
+        wire, transit = size + link.tls_overhead_bytes, transit_delay_us(link, size)
+        if data.draw(st.booleans()):
+            lag = data.draw(st.sampled_from((0, transit)))
+            now = max(0, self.WINDOW + data.draw(st.integers(-1, 1)) - lag)
+        outcomes = []
+        for dst in ("h", ("h",)):
+            queue, meter, trace = EventQueue(), BandwidthMeter(window_us=self.WINDOW), io.StringIO()
+            queue.run_until(now)
+            delivered = []
+            net = MessageLayer(queue, link, meter, TraceWriter(trace))
+            delivery = net.send("s", dst, size, "x", lambda: delivered.append(queue.clock))
+            in_flight = meter.total_sent, meter.total_received
+            queue.drain()
+            outcomes.append((delivery, delivered, in_flight, _window_bytes(meter, ("s", "h")),
+                             meter.total_sent, meter.total_received, trace.getvalue()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:3] == (now + transit, [now + transit], (wire, 0))
 
     def test_conservation_checks_messages_in_flight(self):
         queue, meter = EventQueue(), BandwidthMeter(window_us=self.WINDOW)
@@ -559,9 +641,10 @@ FLOW_LEVELS = {
 
 def _flow_digest(metrics, run) -> str:
     """SHA-256 over what a level's request flows produce: responses in
-    order, the busy, offered and free-at times of every station the level
-    built, per-host window bytes, meter totals, request counters, metrics but
-    the event count, and the ledger's state digest and tip."""
+    order, the busy and offered times and the sorted free-at times (the
+    multiset, not the heap's order) of every station the level built,
+    per-host window bytes, meter totals, request counters, metrics but the
+    event count, and the ledger's state digest and tip."""
     from vaxledger.engine import ORDERING_HOSTS, PEER_HOSTS
 
     stations = [station for group in run.stations.values() for station in group]
@@ -572,7 +655,7 @@ def _flow_digest(metrics, run) -> str:
     del fields["processed_events"]
     parts = [
         ",".join(map(str, run.responses_us)),
-        ";".join(f"{s.busy_us}/{s.offered_us}/{s.free_at}" for s in stations),
+        ";".join(f"{s.busy_us}/{s.offered_us}/{sorted(s.free_at)}" for s in stations),
         ";".join(f"{host}={n}" for host, n in _window_bytes(run.meter, hosts).items() if n),
         f"{run.meter.total_sent}/{run.meter.total_received}",
         repr(counters),
@@ -618,16 +701,16 @@ class TestFlowEquivalence:
         "register@8": "698c1b8f5a73af1faa3d73c6ddac478c7cfd19d8d658a9b94592a37920d2fe3f",
         "register@16": "3fa0facd7ca59d5b36171bb0d2abec90b444349ded16e314d50168ab830b1315",
         "register@28": "0c84723ed90e7d8ea18f11f90601d42ee031d0d27ed29869ced058b189c6b113",
-        "verify@1": "04393348c46bc610ba7dfc51b77391eb631e1104fe4fa3c007cba5eae1f13d6e",
-        "verify@2": "210944db8b1cdb2c3131da96341bd82c02331610c27e0093150434ff1c61968f",
-        "verify@4": "38a4dbb47bd2e35ba7353000c7be09731e8104e099512800320a4db9ef63effc",
-        "verify@8": "3470df5512b1f11cd5c91910888bd3589a331f9c4dee9d87ced5882036dd6abe",
-        "verify@16": "07bf96efed876c0e88a0bd918bc4a063f92cc5486eeee6c9c6294e0b3e0fa9ed",
-        "verify@28": "c9114b630c3c88a4fda9adfe913ac88217956fe8c9bbf1a606769279f1adc7d5",
-        "verify@50": "0e13650f65ee2e96a4de664d43a0bca053f306ed7799b0dfdafb28a9ec80b19c",
-        "verify@100": "23fb496a66bc56787792d8a76979002dce43ad0592170f567690a7ff74411b96",
-        "poisson-verify": "1d681d339a221b9e7c22f9fa74bf05fd4e59dc623c1a0ff3708dba6703b80334",
-        "faulted-verify": "5db5ed64ecee7d914edde839f043d677032ede93e038baaca14dfedf9cdeae7a",
+        "verify@1": "e2894c046fc76e700b14d2813bc608279ea001a81c8c573be309cebc280bec0b",
+        "verify@2": "c429b7dabc4535a6bff55da3d8c6b064e0ab1c6b445303ce3d20cf89a98a9035",
+        "verify@4": "edab9fd4468f5a6d6ece34ee1265d6cf64910abaa944ff1ec076b9ca1e615a0f",
+        "verify@8": "389459bb3eaa6d7506fee5650779b8278f6f7331ea8a0c40955f7a7905d9d4e9",
+        "verify@16": "2c03f51fe624bc494ce30cae205f9cb3c8517dc09cd1a2b16cc185779a091b10",
+        "verify@28": "8afbae747607b56d61e15bf378bb1717d5a42c448cfda5f9f2dde24e82c967a7",
+        "verify@50": "a0a567e19644371a873119fb5f0511983b93421c4e4d1a4b795975e3466d4c52",
+        "verify@100": "e9942f0e52fa037b6607d042c99421c693e7ac20d2ef41f8adde5a0ddafacd80",
+        "poisson-verify": "537037af9d442f333dc8ecb19ff4a31f50735cc081759a8416304b88679f9bd0",
+        "faulted-verify": "7fd6810b16caee91673d3a208b0831052d82befa684cb87d945dcb2808fc50c0",
         "sequencer-outage": "3a4c5789ffa5025155b676576ebd31c64b7ae4b690460d5f1b86b8cd8348f6b3",
         "broker-flap": "85fbb8228c17aaf4fedbc2274f26995173d4066cd30e06a5c7579995bbad9f4f",
         "max-count-1": "cb1eaa43eb4d29442806a6a081d7df15fd58ecb766741b1005d9230ce632b3c4",

@@ -178,10 +178,11 @@ def register_certificate(
     if center is None:
         raise UnknownIssuerError(f"no registered center for issuer {issuer_did}")
     ctx.get_state(center_state_key)
-    key = cert_key(ctx.caller, cert_hash.hex)
+    cert_hex = cert_hash.hex
+    key = cert_key(ctx.caller, cert_hex)
     if ctx.get_state(key) is not None:
-        raise AlreadyRegisteredError(f"certificate {cert_hash.hex} already registered")
-    record = make_cert_record(cert_hash.hex, ctx.caller, issuer_did)
+        raise AlreadyRegisteredError(f"certificate {cert_hex} already registered")
+    record = make_cert_record(cert_hex, ctx.caller, issuer_did)
     ctx.put_state(key, record)
     operation = encode_call("register_certificate", [cert_hash.digest, issuer_did.encode()])
     return ProposalResponse(operation, tuple(ctx.read_set), tuple(ctx.write_set))

@@ -52,6 +52,7 @@ level exactly, as one commit station does: only one peer is ever queried.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 from .chaincode import (
@@ -100,6 +101,11 @@ ORDERING_HOSTS = tuple(f"{role}-{i}" for role in ROLES for i in range(ROLE_SIZES
 SETUP_BLOCK_TXS = 500
 
 
+def _answer_place(answer: tuple) -> int:
+    """The place of the peer that gives an (ms, arrival) answer, its sort key."""
+    return _PEER_ORDER[answer[0]]
+
+
 @dataclass(frozen=True)
 class LevelMetrics:
     tps: float
@@ -117,9 +123,11 @@ class LevelMetrics:
     processed_events: int
 
 
-def _tx_id(*fields) -> bytes:
-    """A transaction id: the first 16 bytes of the sha256 of "tx|" and `fields`, joined by "|"."""
-    return hashlib.sha256(("tx" + "|%s" * len(fields) % fields).encode()).digest()[:16]
+def _tx_ids(*fields):
+    """Transaction ids 1, 2, ...: the first 16 bytes of the sha256 of "tx", `fields` and the
+    id's number, joined by "|"; the prefix before the number is encoded once."""
+    prefix = ("tx" + "|%s" * len(fields) % fields + "|").encode()
+    return (hashlib.sha256(prefix + b"%d" % n).digest()[:16] for n in itertools.count(1))
 
 
 def _world_key(config: ScenarioConfig) -> tuple:
@@ -154,7 +162,7 @@ class SetupWorld:
         self.chain = Chain()
         self.state = WorldState()
         self.records: list = []  # endorsed register transactions, in preload order
-        self._tx_counter = 0
+        self._next_tx_id = _tx_ids(config.step, config.seed).__next__
         self.center_dids = {}  # member state -> the DID text of its one center
         center_txs = []
         for ms in EU_MEMBER_STATES:
@@ -173,10 +181,6 @@ class SetupWorld:
             )
             center_txs.append(self._endorse(ms, response, self._next_tx_id()))
         self.commit_setup_block(self.chain, self.state, center_txs)
-
-    def _next_tx_id(self) -> bytes:
-        self._tx_counter += 1
-        return _tx_id(self.config.step, self.config.seed, self._tx_counter)
 
     def _endorse(self, ms: str, response, tx_id: bytes) -> Transaction:
         """The transaction of chaincode `response`, endorsed by `ms` as `endorse_transaction` does."""
@@ -303,18 +307,13 @@ class LevelRun:
         self._keepalive_at = self.profile.keepalive_interval_ms * 1000
         self._timer_armed_at: int | None = None  # the last batch deadline scheduled
         self._broker_rr = 0
-        self._tx_counter = 0
+        # Ids of transactions made after `preload`, tagged with the level, which setup ids never are.
+        self._next_tx_id = _tx_ids(config.step, level, config.seed).__next__
         self._scan_memo: tuple | None = None  # (records one query scans, its service µs)
         self._pending_acks: dict = {}
 
     # ------------------------------------------------------------------
     # world construction
-
-    def _next_tx_id(self) -> bytes:
-        """Ids of transactions made after `preload`; tagged with the level,
-        which setup ids never are."""
-        self._tx_counter += 1
-        return _tx_id(self.config.step, self.level, self.config.seed, self._tx_counter)
 
     def preload(self) -> None:
         """Anchor centers and the pre-provisioned certificate population.
@@ -418,13 +417,8 @@ class LevelRun:
         seq_host = self.cluster.up_hosts["sequencer"][0]
 
         def at_broker():
-            envelope = Envelope(
-                transaction=tx,
-                received_at=self.queue.clock,
-                size_bytes=self.profile.envelope_bytes,
-            )
-            result = self.cluster.submit(envelope)
-            if not result.accepted:
+            envelope = Envelope(tx, self.queue.clock, self.profile.envelope_bytes)
+            if not self.cluster.submit(envelope).accepted:
                 self._fail_request(ms)
                 return
             self.accepted += 1
@@ -468,7 +462,7 @@ class LevelRun:
                 self.errors += 1
                 arrived_at = None
             answers.append((ms, arrived_at))
-        answers.sort(key=lambda answer: _PEER_ORDER[answer[0]])  # in peer order
+        answers.sort(key=_answer_place)  # in peer order
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
         seq_host = self.cluster.up_hosts["sequencer"][0]
         commit_service = self.commit_per_tx_us * len(batch)

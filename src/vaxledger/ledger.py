@@ -150,6 +150,8 @@ _JSON = json.encoder.c_make_encoder(None, json.JSONEncoder().default,
 _U32 = struct.Struct(">I").pack
 _VERSION = struct.Struct(">BII").pack  # a read version present: 0x01, block, tx index
 _ABSENT = b"\xff"  # a key read as absent
+_HEADER = struct.Struct(">QI").pack  # a block header's number and the length of its prev hash
+_last_header = (b"", b"")  # the last header `compute_block_hash` encoded, and its digest
 
 
 def encode_signing_payload(tx_id: bytes, submitter: str, operation: bytes, read_set, write_set) -> bytes:
@@ -260,7 +262,7 @@ def validate_transaction(
     return _VALID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     number: int
     prev_hash: bytes
@@ -282,8 +284,14 @@ def compute_data_hash(transactions, payloads=None) -> bytes:
 
 
 def compute_block_hash(number: int, prev_hash: bytes, data_hash: bytes) -> bytes:
-    """Digest over the canonical header encoding; chains block n+1 to block n."""
-    return hashlib.sha256(struct.pack(">Q", number) + _lp(prev_hash) + _lp(data_hash)).digest()
+    """Digest over the canonical header encoding; chains block n+1 to block n. The last
+    digest is kept, read once per call, so sealing and appending a block hash its header once."""
+    global _last_header
+    header = _HEADER(number, len(prev_hash)) + prev_hash + _U32(len(data_hash)) + data_hash
+    last = _last_header
+    if last[0] != header:
+        last = _last_header = header, hashlib.sha256(header).digest()
+    return last[1]
 
 
 @dataclass(frozen=True, slots=True)

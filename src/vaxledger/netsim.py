@@ -153,9 +153,10 @@ class BandwidthMeter:
     A message of size S (TLS overhead included) counts S at the sender and S
     at the receiver. Traffic outside the window is excluded from the per-host
     totals but still enters the global totals used by the conservation check.
-    Copies received by several hosts at one instant are clipped once, and a
-    lone message whose delivery time is known when sent is metered at both
-    ends in one `on_message` call.
+    Copies received by a group of hosts at one instant are clipped once and
+    added to one bucket of the group, which `host_kb` adds in for each of its
+    hosts; a lone message whose delivery time is known when sent is metered
+    at both ends in one `on_message` call.
     """
 
     def __init__(self, window_us: int):
@@ -163,18 +164,15 @@ class BandwidthMeter:
             raise ValueError("window must be positive")
         self.window_us = window_us
         self._window_bytes: dict = {}  # host -> bytes inside the window
+        self._group_bytes: dict = {}  # tuple of hosts -> bytes inside the window, for each of them
         self.total_sent = 0
         self.total_received = 0
 
     def _account(self, hosts, size: int, at: int, step: int, count: int) -> None:
         if 0 <= at < self.window_us:
             inside = size * min(count, (self.window_us - 1 - at) // step + 1)
-            window = self._window_bytes
-            if isinstance(hosts, str):
-                window[hosts] = window.get(hosts, 0) + inside
-            else:
-                for host in hosts:
-                    window[host] = window.get(host, 0) + inside
+            window = self._window_bytes if isinstance(hosts, str) else self._group_bytes
+            window[hosts] = window.get(hosts, 0) + inside
 
     def on_send(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
         """Meter `count` messages of `size` bytes sent by `host` at `at`,
@@ -199,7 +197,8 @@ class BandwidthMeter:
 
     def host_kb(self, host: str) -> float:
         """KB (1000 bytes) crossing the host over the whole measurement window."""
-        return self._window_bytes.get(host, 0) / 1000.0
+        groups = sum(size * hosts.count(host) for hosts, size in self._group_bytes.items())
+        return (self._window_bytes.get(host, 0) + groups) / 1000.0
 
     def host_kb_per_second(self, host: str) -> float:
         return self.host_kb(host) / (self.window_us / 1_000_000)

@@ -64,6 +64,9 @@ class SubmitResult:
     accepted: bool
 
 
+_ACCEPTED, _REJECTED = SubmitResult(accepted=True), SubmitResult(accepted=False)
+
+
 class OrderingCluster:
     """Replicated sequencing service with per-role instance health."""
 
@@ -96,9 +99,9 @@ class OrderingCluster:
     def submit(self, envelope: Envelope) -> SubmitResult:
         """Append to the replicated log, if available; a resubmitted copy is logged again."""
         if not self.available:
-            return SubmitResult(accepted=False)
+            return _REJECTED
         self.log.append(envelope)
-        return SubmitResult(accepted=True)
+        return _ACCEPTED
 
     def next_timeout_deadline(self) -> int | None:
         """Simulated time at which the oldest pending envelope forces a cut."""
@@ -140,15 +143,9 @@ def seal_block(
     if not batch:
         raise ValueError("cannot seal an empty batch")
     prev_number, prev_digest = prev_tip
-    transactions = tuple(envelope.transaction for envelope in batch)
+    transactions = tuple([envelope.transaction for envelope in batch])
     data_hash = compute_data_hash(transactions, payloads)
     number = prev_number + 1
     header_hash = compute_block_hash(number, prev_digest, data_hash)
     signature = sign_payload(sealer_key.scheme_id, sealer_key.private_key, header_hash)
-    return Block(
-        number=number,
-        prev_hash=prev_digest,
-        data_hash=data_hash,
-        transactions=transactions,
-        sealer_signature=signature,
-    )
+    return Block(number, prev_digest, data_hash, transactions, signature)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import hashlib
 import math
+import struct
 import sys
 import weakref
 
@@ -24,7 +26,7 @@ from vaxledger.calibrate import (
     load_targets,
 )
 from vaxledger.chaincode import AlreadyRegisteredError
-from vaxledger.credential import CertificateHash
+from vaxledger.credential import CertificateHash, verify_payload
 from vaxledger.engine import LevelRun, SetupWorld, run_level
 from vaxledger import bench, ledger
 from vaxledger.ledger import (
@@ -635,6 +637,84 @@ class TestSealEncodesOnce:
         assert state.digest() == expected.digest()
         assert block.data_hash == compute_data_hash(block.transactions)
         assert chain.verify()
+
+
+class TestSealSignsTheTip:
+    """One header hash serves the sealer's signature and the chain's tip: after
+    every `SetupWorld.seal`, the signature verifies against the tip, which is
+    the digest of the block's own header fields."""
+
+    @pytest.fixture
+    def seals(self, monkeypatch):
+        original, seals = SetupWorld.seal, []
+
+        def seal(setup, chain, state, batch):
+            block, flags = original(setup, chain, state, batch)
+            seals.append((setup.sealer_key, chain.tip_hash, block))
+            return block, flags
+
+        monkeypatch.setattr(SetupWorld, "seal", seal)
+        return seals
+
+    @staticmethod
+    def _assert_signed_tips(seals):
+        for key, tip, block in seals:
+            header = (struct.pack(">QI", block.number, len(block.prev_hash)) + block.prev_hash
+                      + struct.pack(">I", len(block.data_hash)) + block.data_hash)
+            assert tip == hashlib.sha256(header).digest(), block.number
+            assert verify_payload(key.scheme_id, key.public_key, tip, block.sealer_signature)
+
+    def test_setup_and_live_blocks(self, seals):
+        # The center block, two full setup blocks, the fork's partial one, then live blocks.
+        config = default_register_config(duration_seconds=2, preloaded_records=1200)
+        _metrics, run = run_level(config, 28)
+        assert len(seals) == len(run.chain.blocks) == 4 + 28
+        self._assert_signed_tips(seals)
+        assert run.chain.verify()
+
+    def test_sibling_forks_sealing_one_height_in_turn(self, seals):
+        setup = SetupWorld(default_register_config())
+        forks = [setup.fork(0), setup.fork(0)]
+        for i in range(4):
+            chain, state = forks[i % 2]
+            tx = setup.register_tx(state, "DE", CertificateHash(bytes([i]) * 32), b"%16d" % i)
+            setup.seal(chain, state, [Envelope(tx, 0, 0)])
+        assert [block.number for _key, _tip, block in seals] == [0, 1, 1, 2, 2]
+        self._assert_signed_tips(seals)
+        assert all(chain.verify() for chain, _state in forks)
+
+
+def _closed_form_tx_id(*fields) -> bytes:
+    """A transaction id from all of its fields: the first 16 bytes of the
+    sha256 of "tx" and `fields`, joined by "|"."""
+    return hashlib.sha256(("tx" + "|%s" * len(fields) % fields).encode()).digest()[:16]
+
+
+class TestTransactionIds:
+    """Ids made from a prefix encoded once per world or level equal the
+    closed form over all of their fields, for integer and fractional levels."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        step=st.sampled_from(("register", "verify")),
+        seed=st.integers(0, 2**64),
+        level=st.sampled_from((0.5, 2.5, 28, 1, 100.0)),
+        draws=st.integers(1, 4),
+    )
+    def test_next_tx_id_equals_closed_form(self, step, seed, level, draws):
+        config = ScenarioConfig(step=step, tps_levels=(level,), duration_seconds=1, seed=seed)
+        setup = SetupWorld(config)
+        centers = len(EU_MEMBER_STATES)  # the center block holds setup ids 1-27
+        assert [tx.tx_id for tx in setup.chain.blocks[0].transactions] == [
+            _closed_form_tx_id(step, seed, n) for n in range(1, centers + 1)
+        ]
+        assert [setup._next_tx_id() for _ in range(draws)] == [
+            _closed_form_tx_id(step, seed, centers + n) for n in range(1, draws + 1)
+        ]
+        run = LevelRun(config, level, setup=setup)
+        assert [run._next_tx_id() for _ in range(draws)] == [
+            _closed_form_tx_id(step, level, seed, n) for n in range(1, draws + 1)
+        ]
 
 
 _INSTANCES = [(role, index) for role in ROLES for index in range(ROLE_SIZES[role])]

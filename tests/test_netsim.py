@@ -235,6 +235,71 @@ class TestSingleHostMetering:
         assert sent.total_sent == size * count
 
 
+class _PerHostMeter:
+    """Reference meter: every copy of every message is clipped and added to
+    its own host's bytes, one at a time."""
+
+    def __init__(self, window_us):
+        self.window_us = window_us
+        self.bytes = {}
+        self.total_sent = self.total_received = 0
+
+    def add(self, host, size, at, step=1, count=1):
+        for k in range(count):
+            if 0 <= at + k * step < self.window_us:
+                self.bytes[host] = self.bytes.get(host, 0) + size
+
+
+_HOSTS = ("a", "b", "c", "d")
+_AT = st.integers(0, 1_000_010) | st.integers(999_990, 1_000_010)  # the window end is 10**6
+_METER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fanout"), st.lists(st.sampled_from(_HOSTS), min_size=1, max_size=6)
+                  .map(tuple), st.integers(1, 5000), _AT),
+        st.tuples(st.just("post"), st.sampled_from(_HOSTS), st.sampled_from(_HOSTS),
+                  st.integers(1, 5000), _AT, st.integers(0, 20)),
+        st.tuples(st.just("series"), st.sampled_from(_HOSTS), st.sampled_from(_HOSTS),
+                  st.integers(1, 5000), _AT, st.integers(1, 400_000), st.integers(0, 8)),
+    ),
+    max_size=12,
+)
+
+
+class TestGroupMetering:
+    """A fan-out is one bucket of its host group; each host reads the bytes it
+    would hold had every copy been added to it alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_METER_OPS)
+    def test_host_kb_equals_per_host_reference(self, ops):
+        meter, ref = BandwidthMeter(window_us=1_000_000), _PerHostMeter(1_000_000)
+        for op in ops:
+            if op[0] == "fanout":
+                _, hosts, size, at = op
+                meter.on_receive(hosts, size, at)
+                for host in hosts:
+                    ref.add(host, size, at)
+                ref.total_received += size * len(hosts)
+            elif op[0] == "post":
+                _, src, dst, size, at, lag = op
+                meter.on_message(src, dst, size, at, at + lag)
+                ref.add(src, size, at)
+                ref.add(dst, size, at + lag)
+                ref.total_sent += size
+                ref.total_received += size
+            else:
+                _, src, dst, size, at, step, count = op
+                meter.on_send(src, size, at, step, count)
+                meter.on_receive(dst, size, at + 7, step, count)
+                ref.add(src, size, at, step, count)
+                ref.add(dst, size, at + 7, step, count)
+                ref.total_sent += size * count
+                ref.total_received += size * count
+        for host in _HOSTS:
+            assert meter.host_kb(host) == ref.bytes.get(host, 0) / 1000.0, host
+        assert (meter.total_sent, meter.total_received) == (ref.total_sent, ref.total_received)
+
+
 class TestSeriesBooking:
     """`book` meters a whole series the way single messages would, one by one."""
 

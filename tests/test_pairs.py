@@ -96,3 +96,24 @@ def test_output_records_python_and_bytecode_setting(tmp_path, monkeypatch, bytec
     assert entry["environment"] == {"python": platform.python_version(),
                                     "PYTHONDONTWRITEBYTECODE": bytecode}
     assert entry["summary"]["pairs"] == 2
+
+
+@pytest.mark.parametrize("change_name", ["change", "change-longer"])
+def test_unequal_checkout_path_lengths_warn_and_are_recorded(tmp_path, monkeypatch, capsys,
+                                                             change_name):
+    """``peak_rss_mb`` moves with the checkout's location, so paths of unequal
+    length draw a warning, and each workload's entry records both lengths."""
+    parent, change = tmp_path / "parent", tmp_path / change_name
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": WALL}))
+    monkeypatch.setattr(pairs, "run_once", lambda checkout, workload, seed: _side(1.0))
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["pairs.py", str(parent), str(change),
+                                      "--workloads", "register_sweep", "--pairs", "1",
+                                      "--out", str(out)])
+    assert pairs.main() == 0
+    lengths = json.loads(out.read_text())["main"]["register_sweep"]["checkout_path_lengths"]
+    assert lengths == {"parent": len(str(parent.resolve())), "change": len(str(change.resolve()))}
+    warned = "paths differ in length" in capsys.readouterr().err
+    assert warned == (lengths["parent"] != lengths["change"]) == (change_name != "change")

@@ -20,8 +20,11 @@ one pair on a held-out seed, ``--first-pair 11 --pairs 1 --label held_out``)
 adds to it. Each workload's entry records the environment its runs shared:
 the Python version, and ``PYTHONDONTWRITEBYTECODE``, which decides whether
 every worker compiles its modules from source, and so moves ``peak_rss_mb``
-with the source text. The script reads ``BENCHMARK.json`` and the runs' output only;
-it imports nothing from either checkout.
+with the source text; and the length of each checkout's absolute path, which
+moves ``peak_rss_mb`` too. Paths of unequal length draw a warning: give the
+two checkouts sibling directories whose names are of one length. The script
+reads ``BENCHMARK.json`` and the runs' output only; it imports nothing from
+either checkout.
 """
 
 from __future__ import annotations
@@ -106,6 +109,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write or add to")
     args = parser.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    path_lengths = {side: len(str(path)) for side, path in checkouts.items()}
+    if path_lengths["parent"] != path_lengths["change"]:
+        print(f"warning: the checkouts' absolute paths differ in length ({path_lengths['parent']} "
+              f"and {path_lengths['change']} characters), which moves peak_rss_mb", file=sys.stderr)
     metrics = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("command", f"perfbench/run.py --seconds {SECONDS} --trace 0, "
@@ -123,8 +130,8 @@ def main() -> int:
             print(f"{workload} pair {pair}: " + ", ".join(
                 f"{side} {run[side].get('metrics', {}).get('wall_s', {}).get('value', 'failed')}"
                 for side in SIDES), flush=True)
-        entry[workload] = {"environment": environment(), "summary": summarize(runs, metrics),
-                           "runs": runs}
+        entry[workload] = {"environment": environment(), "checkout_path_lengths": path_lengths,
+                           "summary": summarize(runs, metrics), "runs": runs}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

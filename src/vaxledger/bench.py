@@ -45,7 +45,7 @@ def run_scenario(
 
     The levels fork one `SetupWorld`, grown as they need it, so each setup
     block is built once and levels may come in any order: `setup`, which calls
-    may share (built for the same step, seed and envelope size), or a new one.
+    may share (built for the same step and seed), or a new one.
 
     `trace_path` dumps the newline-delimited event trace of all levels;
     `snapshot_path` exports the final level's ledger for audit/determinism

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .bench import run_scenario
-from .engine import SetupWorld, _world_key
+from .engine import SetupWorld
 from .scenario import (
     _STEPS,
     ScenarioConfig,
@@ -142,15 +142,15 @@ def _check_targets(targets) -> None:
 
 
 def _residuals(profile, targets, register_config, verify_config, worlds: dict):
-    """Residuals and instability of `profile`; `worlds` keeps each step's setup world while it fits."""
+    """Residuals and instability of `profile`; `worlds` keeps each step's setup world, which
+    depends on the step and seed alone, so one serves every profile of a fit."""
     by_step = {}
     for step, base in (("register", register_config), ("verify", verify_config)):
         levels = tuple(sorted({t.tps for t in targets if t.step == step}))
         config = replace(base, tps_levels=levels, service_profile=profile)
-        world = worlds.get(step)
-        if world is None or _world_key(world.config) != _world_key(config):
-            world = worlds[step] = SetupWorld(config)
-        by_step[step] = run_scenario(config, setup=world)
+        if step not in worlds:
+            worlds[step] = SetupWorld(config)
+        by_step[step] = run_scenario(config, setup=worlds[step])
     residuals = []
     instability = 0.0
     for target in targets:

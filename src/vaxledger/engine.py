@@ -3,11 +3,12 @@
 One `LevelRun` owns the world of one offered-TPS level: 27 peers and their
 shared replicated ledger, the ordering cluster, its step's stations, and
 ambient gossip/keepalive traffic. Its ledger starts as a fork of a
-`SetupWorld`, which the levels of one scenario share: the setup blocks of a
-level are a prefix of a larger level's, up to its final partial block, so each
-full setup block is endorsed, sealed and validated once per scenario. A fork
-gets its own chain and state, sharing frozen blocks and state entries, so
-nothing a level writes reaches the setup world or another level. Registration
+`SetupWorld`, which depends on the scenario's step and seed alone, so the
+levels of one scenario share it: the setup blocks of a level are a prefix of a
+larger level's, up to its final partial block, so each full setup block is
+endorsed, sealed and validated once per scenario. A fork gets its own chain
+and state, sharing frozen blocks and state entries, so nothing a level writes
+reaches the setup world or another level. Registration
 follows client -> peer (REST, endorse) -> ordering (sequence, batch, seal) ->
 block fan-out -> commit -> client ack; verification follows
 client -> peer (REST, content query) -> client response. Every started
@@ -130,11 +131,6 @@ def _tx_ids(*fields):
     return (hashlib.sha256(prefix + b"%d" % n).digest()[:16] for n in itertools.count(1))
 
 
-def _world_key(config: ScenarioConfig) -> tuple:
-    """The config values a `SetupWorld` reads: step and seed (its tx ids) and the envelope size."""
-    return config.step, config.seed, config.service_profile.envelope_bytes
-
-
 class SetupWorld:
     """The setup that the levels of one scenario share, grown as they need it.
 
@@ -188,8 +184,7 @@ class SetupWorld:
         keypair = self.ms_keys[ms]
         signature = sign_payload(keypair.scheme_id, keypair.private_key,
                                  encode_signing_payload(tx_id, ms, operation, read_set, write_set))
-        return Transaction(tx_id, ms, operation, read_set, write_set, ((ms, signature),),
-                           self.config.service_profile.envelope_bytes)
+        return Transaction(tx_id, ms, operation, read_set, write_set, ((ms, signature),))
 
     def register_tx(
         self, state: WorldState, ms: str, cert: CertificateHash, tx_id: bytes
@@ -253,8 +248,8 @@ class LevelRun:
 
     `stations` maps each role to the stations its step's jobs enter, the only ones built.
     `preload` forks `chain` and `state` off `setup`, which must have been built
-    for the same step, seed and envelope size; without one, the run builds a
-    private `SetupWorld`. `arrivals` is the level's request schedule, in µs.
+    for the same step and seed; without one, the run builds a private
+    `SetupWorld`. `arrivals` is the level's request schedule, in µs.
     """
 
     def __init__(
@@ -273,9 +268,10 @@ class LevelRun:
         self.meter = BandwidthMeter(window_us=self.duration_us)
         self.net = MessageLayer(self.queue, config.link, self.meter, tracer)
         self.setup = setup if setup is not None else SetupWorld(config)
-        if _world_key(self.setup.config) != _world_key(config):
-            raise ValueError("setup world built for (step, seed, envelope_bytes) = "
-                             f"{_world_key(self.setup.config)}, not {_world_key(config)}")
+        built_for = self.setup.config.step, self.setup.config.seed
+        if built_for != (config.step, config.seed):
+            raise ValueError(f"setup world built for (step, seed) = {built_for}, "
+                             f"not {(config.step, config.seed)}")
         self.arrivals = generate_arrivals(
             level, config.duration_seconds, config.arrival_mode, config.seed
         )

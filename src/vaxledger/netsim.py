@@ -169,10 +169,12 @@ class BandwidthMeter:
         self.total_received = 0
 
     def _account(self, hosts, size: int, at: int, step: int, count: int) -> None:
-        if 0 <= at < self.window_us:
-            inside = size * min(count, (self.window_us - 1 - at) // step + 1)
+        # Count the instants at + k·step, 0 <= k < count, inside [0, window_us).
+        first = -(at // step) if at < 0 else 0  # the least k with at + k·step >= 0
+        inside = min(count, (self.window_us - 1 - at) // step + 1) - first
+        if inside > 0:
             window = self._window_bytes if isinstance(hosts, str) else self._group_bytes
-            window[hosts] = window.get(hosts, 0) + inside
+            window[hosts] = window.get(hosts, 0) + size * inside
 
     def on_send(self, host: str, size: int, at: int, step: int = 1, count: int = 1) -> None:
         """Meter `count` messages of `size` bytes sent by `host` at `at`,

@@ -462,15 +462,14 @@ class TestSetupWorld:
                 SHORT_REGISTER,
                 dataclasses.replace(SHORT_REGISTER, seed=7, service_profile=WIDE_ENVELOPES),
             ),
-            (SHORT_REGISTER, dataclasses.replace(SHORT_REGISTER, service_profile=WIDE_ENVELOPES)),
             (SHORT_REGISTER, dataclasses.replace(SHORT_REGISTER, seed=7)),
             (default_verify_config(duration_seconds=2), SHORT_REGISTER),
         ],
-        ids=["seed-and-envelope", "envelope", "seed", "step"],
+        ids=["seed-and-envelope", "seed", "step"],
     )
     def test_world_built_for_another_config_is_rejected(self, level_config, world_config):
-        """A setup world's transactions carry its step, seed and envelope size,
-        so a level must not fork one built with other values."""
+        """A setup world's transactions carry its step and seed, so a level
+        must not fork one built with other values."""
         with pytest.raises(ValueError, match="setup world built for"):
             run_level(level_config, 4, setup=SetupWorld(world_config))
 
@@ -495,7 +494,7 @@ READ_SETS = {
         "keepalive_interval_ms", "orderer_per_envelope_ms", "proposal_bytes", "rest_overhead_ms",
     },
     "verify": {
-        "envelope_bytes", "gossip_bytes", "gossip_interval_ms", "keepalive_bytes",
+        "gossip_bytes", "gossip_interval_ms", "keepalive_bytes",
         "keepalive_interval_ms", "query_bytes", "query_per_record_us", "query_workers",
         "response_bytes", "rest_overhead_ms",
     },
@@ -524,6 +523,21 @@ class TestReadSets:
         monkeypatch.setattr(ServiceTimeProfile, "__getattribute__", recording)
         report_to_csv_text(run_scenario(config))
         assert reads == READ_SETS[step]
+
+    @pytest.mark.parametrize("step", sorted(SHORT_LEVELS))
+    def test_setup_world_reads_no_profile_field(self, monkeypatch, step):
+        """A setup world and its forks, a partial block included, depend on the
+        step and seed alone, so one world serves every profile."""
+        reads = set()
+
+        def recording(profile, name):
+            if name in PROFILE_FIELDS:
+                reads.add(name)
+            return object.__getattribute__(profile, name)
+
+        monkeypatch.setattr(ServiceTimeProfile, "__getattribute__", recording)
+        SetupWorld(SHORT_LEVELS[step]).fork(700)
+        assert reads == set()
 
     @pytest.fixture(scope="class")
     def short_worlds(self):
@@ -859,8 +873,8 @@ class TestCalibration:
             calibrate(rows, DEFAULT_PROFILE)
 
     def test_shared_worlds_give_the_residuals_of_fresh_ones(self, monkeypatch):
-        """Evaluations share each step's setup world, and build a new one only
-        when the envelope size changes it."""
+        """Evaluations build one setup world per step and share it across every
+        profile, the one with another envelope size included."""
         register_config = default_register_config(tps_levels=(1,), duration_seconds=2)
         verify_config = default_verify_config(
             tps_levels=(1, 8), duration_seconds=2, preloaded_records=600
@@ -878,15 +892,38 @@ class TestCalibration:
 
         class CountedWorld(SetupWorld):
             def __init__(self, config):
-                built.append((config.step, config.service_profile.envelope_bytes))
+                built.append(config.step)
                 super().__init__(config)
 
         monkeypatch.setattr("vaxledger.calibrate.SetupWorld", CountedWorld)
         worlds = {}
         shared = [_residuals(p, targets, register_config, verify_config, worlds) for p in profiles]
         assert shared == fresh
-        assert built == [(step, size) for size in (7000, 8000, 7000)
-                         for step in ("register", "verify")]
+        assert built == ["register", "verify"]
+
+    def test_a_fit_builds_one_world_per_step(self, monkeypatch):
+        """A fit that probes the envelope size still builds each step's setup
+        world once."""
+        register_config = default_register_config(tps_levels=(1, 28), duration_seconds=2)
+        verify_config = default_verify_config(
+            tps_levels=(1, 100), duration_seconds=2, preloaded_records=400
+        )
+        targets = [TargetRow(config.step, m.tps, m.mean_response_ms, m.peer_bandwidth_kb)
+                   for config in (register_config, verify_config)
+                   for m in run_scenario(config).levels]
+        built = []
+
+        class CountedWorld(SetupWorld):
+            def __init__(self, config):
+                built.append(config.step)
+                super().__init__(config)
+
+        monkeypatch.setattr("vaxledger.calibrate.SetupWorld", CountedWorld)
+        result = calibrate(targets, DEFAULT_PROFILE, register_config=register_config,
+                           verify_config=verify_config, tunables=("envelope_bytes",),
+                           max_rounds=1)
+        assert result.evaluations == 1 + 6
+        assert built == ["register", "verify"]
 
     def test_self_consistency_recovers_known_profile(self):
         """Generate targets from a known profile, perturb one parameter, and

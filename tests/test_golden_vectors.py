@@ -58,11 +58,11 @@ def test_golden_fields():
 GOLDEN_TX_ENCODINGS = {
     "center": (
         "7f23c8f9559d837ea867592bfbfdee5835f4fa92ffb9d0a51cfff087730ff0b1",
-        "3337a5836e8e6884596f3e67773b670a3194e71a7ba74b7280f921b49c2fea63",
+        "5ce12c991f17cfc01275a219c57048841def82b040f2f81e901f927e18695ec9",
     ),
     "cert": (
         "091e04fc8e97c6c2b3224ac768590980429c957e46d0140b618d112d1c86e240",
-        "826bb5d223d45b64502b260338dbd404b197073ebaf5a114033a03d912c4315a",
+        "cfba75529c35e0c5b24c230af5b47b13f2dc8c32193a8d6df9c0f09c0d7b1b14",
     ),
 }
 

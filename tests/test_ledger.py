@@ -22,8 +22,10 @@ from vaxledger.ledger import (
     WorldState,
     ZERO_DIGEST,
     apply_block,
+    chain_snapshot_lines,
     compute_block_hash,
     compute_data_hash,
+    encode_transaction,
     endorse_transaction,
     make_cert_record,
     rich_query,
@@ -393,5 +395,20 @@ class TestSnapshot:
         import json
 
         header = json.loads(lines[0])
-        assert header["schema"] == "vaxledger-chain/1"
+        assert header["schema"] == "vaxledger-chain/2"
         assert header["blocks"] == 2
+
+    def test_payload_size_reaches_no_byte(self):
+        """A transaction's wire size is its envelope's: two transactions that
+        differ only in `payload_size` encode, hash and export alike."""
+        tx = make_tx("DE", "DE/a", {"v": 1})
+        sized = replace(tx, payload_size=7000)
+        payload = transaction_signing_payload(tx)
+        assert encode_transaction(sized, payload) == encode_transaction(tx, payload)
+        assert compute_data_hash([sized]) == compute_data_hash([tx])
+        snapshots = []
+        for t in (tx, sized):
+            chain = Chain()
+            chain.append_block(make_block(0, ZERO_DIGEST, [t]))
+            snapshots.append(list(chain_snapshot_lines(chain)))
+        assert snapshots[0] == snapshots[1]

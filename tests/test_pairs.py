@@ -57,6 +57,15 @@ def test_ties_count_for_neither_side_and_failed_pairs_are_left_out():
 def test_differing_digests_are_reported():
     summary = pairs.summarize([_run(1.0, 0.9), _run(1.0, 0.9, change_digest="bb")], WALL)
     assert not summary["digests_equal"]
+    assert summary["digests_equal_by_name"] == {"csv_sha256": False}
+    # Each digest is judged on its own: a moved snapshot leaves the CSV's equality standing.
+    runs = [_run(1.0, 0.9) for _ in range(2)]
+    for side, snapshot in (("parent", "cc"), ("change", "dd")):
+        for run in runs:
+            run[side]["digests"]["snapshot_sha256"] = snapshot
+    summary = pairs.summarize(runs, WALL)
+    assert not summary["digests_equal"]
+    assert summary["digests_equal_by_name"] == {"csv_sha256": True, "snapshot_sha256": False}
 
 
 def test_claim_fails_when_a_pair_did_not_run_correctly():

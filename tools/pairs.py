@@ -10,7 +10,9 @@ pairs, the change on even ones. Every run's result line is kept. For each
 end-to-end metric that ``BENCHMARK.json`` declares, the summary gives each
 side's median and quartiles, the difference of the medians (change minus
 parent), the parent's interquartile range, and the pairs the change wins;
-a tie counts for neither side. A claim holds where every run of both sides
+a tie counts for neither side. It also says, for each output digest the
+runs print, whether the two sides agreed on it in every pair, and whether
+they agreed on all of them. A claim holds where every run of both sides
 is correct, the change fails no more operations than the parent in any pair,
 the change wins at least nine tenths of all pairs run, and the medians differ
 by more than the parent's interquartile range.
@@ -70,8 +72,11 @@ def summarize(runs: list, metrics: list) -> dict:
     ok = [r for r in runs if all(r[side].get("correct") for side in SIDES)]
     # A pair that failed, or where the change failed more operations, refutes any claim.
     sound = len(ok) == len(runs) and all(r["change"]["failed"] <= r["parent"]["failed"] for r in ok)
+    names = sorted({name for r in ok for side in SIDES for name in r[side]["digests"]})
+    by_name = {name: all(r["parent"]["digests"].get(name) == r["change"]["digests"].get(name)
+                         for r in ok) for name in names}
     summary = {"pairs": len(runs), "pairs_correct": len(ok),
-               "digests_equal": all(r["parent"]["digests"] == r["change"]["digests"] for r in ok)}
+               "digests_equal": all(by_name.values()), "digests_equal_by_name": by_name}
     if not ok:
         return summary
     for metric in metrics:

@@ -63,7 +63,7 @@ from .chaincode import (
     register_certificate,
     register_medical_center,
 )
-from .credential import CertificateHash, HMAC_SHA256, generate_did, generate_keypair, sign_payload
+from .credential import CertificateHash, HMAC_SHA256, generate_did, generate_keypair
 from .ledger import (
     Chain,
     EU_MEMBER_STATES,
@@ -72,7 +72,7 @@ from .ledger import (
     WorldState,
     apply_block,
     cert_key,
-    encode_signing_payload,
+    endorse_fields,
     rich_query,
     transaction_signing_payload,
 )
@@ -180,11 +180,8 @@ class SetupWorld:
 
     def _endorse(self, ms: str, response, tx_id: bytes) -> Transaction:
         """The transaction of chaincode `response`, endorsed by `ms` as `endorse_transaction` does."""
-        operation, read_set, write_set = response.operation, response.read_set, response.write_set
-        keypair = self.ms_keys[ms]
-        signature = sign_payload(keypair.scheme_id, keypair.private_key,
-                                 encode_signing_payload(tx_id, ms, operation, read_set, write_set))
-        return Transaction(tx_id, ms, operation, read_set, write_set, ((ms, signature),))
+        return endorse_fields(self.ms_keys[ms], tx_id, ms, response.operation, response.read_set,
+                              response.write_set)
 
     def register_tx(
         self, state: WorldState, ms: str, cert: CertificateHash, tx_id: bytes
@@ -196,10 +193,11 @@ class SetupWorld:
     def seal(self, chain: Chain, state: WorldState, batch: list) -> tuple:
         """Seal a batch onto `chain` and apply it to `state`; returns (block, validity flags).
 
-        Each transaction's signing payload is encoded once, from its fields,
-        for both the data hash and the endorsement check; the endorser's
-        bytes are never reused, so a transaction changed after endorsement
-        fails validation.
+        One signing payload per transaction serves both the data hash and the
+        endorsement check: at a first commit, the bytes its endorser signed,
+        which encode its own immutable fields; at a re-commit, encoded from
+        those fields. A changed copy of a transaction is a new object that is
+        encoded from its own fields, so it fails validation.
         """
         payloads = [transaction_signing_payload(envelope.transaction) for envelope in batch]
         block = seal_block(batch, chain.tip, self.sealer_key, payloads=payloads)

@@ -7,6 +7,9 @@ signature from its own submitting member state, nothing else), a namespace
 check (each member state may write only under its own ``<code>/`` prefix), and
 an MVCC read-version check.
 
+Every record is read-only: `make_cert_record` and `make_center_record` return
+a `dict` whose mutators raise `TypeError`, so an encoding of it stays valid.
+
 Commit is single-writer; any number of readers may query committed state
 concurrently.
 """
@@ -17,7 +20,7 @@ import hashlib
 import itertools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
@@ -42,6 +45,7 @@ __all__ = [
     "make_center_record",
     "encode_signing_payload",
     "transaction_signing_payload",
+    "endorse_fields",
     "endorse_transaction",
     "validate_transaction",
     "compute_data_hash",
@@ -59,7 +63,6 @@ EU_MEMBER_STATES = (
     "PL", "PT", "RO", "SK", "SI", "ES", "SE",
 )
 _MEMBER_STATE_SET = frozenset(EU_MEMBER_STATES)
-_NO_METADATA: dict = {}  # every cert record's `metadata`; a dict, as the C encoder needs
 
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 
@@ -94,27 +97,29 @@ def center_key(ms: str, center_id: str) -> str:
     return f"{ms}/center/{center_id}"
 
 
+class _Record(dict):
+    """A ledger record: a `dict`, as the C encoder needs, that no call can change."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("ledger records are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
+_NO_METADATA = _Record()  # every cert record's `metadata`
+
+
 def make_cert_record(cert_hex: str, ms: str, issuer_did: str) -> dict:
     # `registered_at` and `metadata` stay in the schema, always empty; nothing writes them.
-    return {
-        "doc_type": "cert",
-        "cert_hash": cert_hex,
-        "ms": ms,
-        "issuer_did": issuer_did,
-        "registered_at": None,
-        "metadata": _NO_METADATA,
-    }
+    return _Record(doc_type="cert", cert_hash=cert_hex, ms=ms, issuer_did=issuer_did,
+                   registered_at=None, metadata=_NO_METADATA)
 
 
 def make_center_record(center_id: str, ms: str, name: str, address: str, issuer_did: str) -> dict:
-    return {
-        "doc_type": "center",
-        "center_id": center_id,
-        "ms": ms,
-        "name": name,
-        "address": address,
-        "issuer_did": issuer_did,
-    }
+    return _Record(doc_type="center", center_id=center_id, ms=ms, name=name, address=address,
+                   issuer_did=issuer_did)
 
 
 # Fields a content query may reference: the keys the record schemas above write.
@@ -140,6 +145,8 @@ class Transaction:
     write_set: tuple
     endorsements: tuple = ()
     payload_size: int = 0
+    # The endorser's signing payload, from `endorse_fields` to the first `apply_block`.
+    _signing_payload: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_member_state(self.submitter)
@@ -178,8 +185,10 @@ def encode_signing_payload(tx_id: bytes, submitter: str, operation: bytes, read_
 
 
 def transaction_signing_payload(tx: Transaction) -> bytes:
-    """`encode_signing_payload` of the transaction's fields."""
-    return encode_signing_payload(tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set)
+    """`encode_signing_payload` of the transaction's fields: the bytes its
+    endorser signed until its first commit, else encoded anew. Never attaches."""
+    return tx._signing_payload or encode_signing_payload(
+        tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set)
 
 
 def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
@@ -194,11 +203,41 @@ def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
     return b"".join(parts)
 
 
+def endorse_fields(keypair, tx_id, submitter, operation, read_set, write_set,
+                   endorsements=()) -> Transaction:
+    """The transaction of these fields, with `submitter`'s endorsement by `keypair` appended.
+
+    The fields are encoded once. When they are immutable (bytes, tuples of
+    pairs, None or tuple versions, read-only records) the signed bytes ride on
+    the transaction to its first `apply_block`, which drops them.
+    """
+    payload = encode_signing_payload(tx_id, submitter, operation, read_set, write_set)
+    signature = sign_payload(keypair.scheme_id, keypair.private_key, payload)
+    tx = Transaction(tx_id, submitter, operation, read_set, write_set,
+                     endorsements + ((submitter, signature),))
+    if _immutable(tx_id, operation, read_set, write_set):
+        object.__setattr__(tx, "_signing_payload", payload)
+    return tx
+
+
+def _immutable(tx_id, operation, read_set, write_set) -> bool:
+    """Whether no object that these fields' signing payload encodes can change."""
+    if not (tx_id.__class__ is bytes and operation.__class__ is bytes
+            and read_set.__class__ is tuple and write_set.__class__ is tuple):
+        return False
+    for pair in read_set:
+        if pair.__class__ is not tuple or not (pair[1] is None or pair[1].__class__ is tuple):
+            return False
+    for pair in write_set:
+        if pair.__class__ is not tuple or pair[1].__class__ is not _Record:
+            return False
+    return True
+
+
 def endorse_transaction(tx: Transaction, keypair) -> Transaction:
     """Return the transaction with the submitter's endorsement appended."""
-    sig = sign_payload(keypair.scheme_id, keypair.private_key, transaction_signing_payload(tx))
-    return Transaction(tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set,
-                       tx.endorsements + ((tx.submitter, sig),))
+    return endorse_fields(keypair, tx.tx_id, tx.submitter, tx.operation, tx.read_set,
+                          tx.write_set, tx.endorsements)
 
 
 @dataclass(frozen=True)
@@ -234,9 +273,10 @@ def validate_transaction(
     Returns Valid only when (a) the transaction bears a valid endorsement
     signature from its submitter, (b) every written key lies inside the
     submitter's namespace, and (c) every read version still matches the state.
-    `payload`, if given, must be `transaction_signing_payload(tx)` computed by
-    the committer from the transaction's fields, never the endorser's bytes:
-    the signature is checked against what the block holds.
+    `payload`, if given, must be `transaction_signing_payload(tx)`: the
+    endorser's bytes only while the transaction holds them, and they encode
+    its own immutable fields, so the signature is checked against what the
+    block holds.
     """
     public_key = policy.roster.get(tx.submitter)
     signature = None
@@ -389,13 +429,15 @@ def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy, payl
     Valid transactions' writes land with version (block number, tx index);
     invalid ones stay in the block but leave state untouched. Returns the
     per-transaction ValidationResult list. `payloads`, if given, holds each
-    transaction's signing payload as `validate_transaction` takes it.
+    transaction's signing payload as `validate_transaction` takes it. Each
+    validated transaction drops its endorser's bytes: only a first commit reads them.
     """
     if payloads is None:
         payloads = (None,) * len(block.transactions)
     flags = []
     for index, (tx, payload) in enumerate(zip(block.transactions, payloads, strict=True)):
         result = validate_transaction(tx, policy, state, payload)
+        object.__setattr__(tx, "_signing_payload", None)
         flags.append(result)
         if result.valid:
             for key, value in tx.write_set:

@@ -25,7 +25,7 @@ from vaxledger.calibrate import (
     calibrate,
     load_targets,
 )
-from vaxledger.chaincode import AlreadyRegisteredError
+from vaxledger.chaincode import AlreadyRegisteredError, ChaincodeContext, register_certificate
 from vaxledger.credential import CertificateHash, verify_payload
 from vaxledger.engine import LevelRun, SetupWorld, run_level
 from vaxledger import bench, ledger
@@ -39,7 +39,7 @@ from vaxledger.ledger import (
     endorse_transaction,
 )
 from vaxledger.netsim import LinkParams, transit_delay_us
-from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig, Envelope
+from vaxledger.ordering import ROLE_SIZES, ROLES, BatchConfig, Envelope, seal_block
 from vaxledger.scenario import (
     ConfigError,
     DEFAULT_PROFILE,
@@ -582,9 +582,10 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 class TestSealEncodesOnce:
-    """`SetupWorld.seal` encodes each transaction's signing payload once, for
-    the data hash and the endorsement check, and recomputes it from the
-    transaction rather than reusing the endorser's bytes."""
+    """Each endorsed transaction's signing payload is encoded once, by its
+    endorser, whose bytes serve its first commit for both the data hash and
+    the endorsement check. A re-commit, or a copy changed after endorsement,
+    is encoded from the transaction's own fields."""
 
     @staticmethod
     def _world():
@@ -608,8 +609,9 @@ class TestSealEncodesOnce:
 
     def test_verify_level_encodes_once_per_endorsement_and_commit(self, monkeypatch):
         """Every signing payload goes through `encode_signing_payload`: each
-        endorsed transaction's id is encoded once for its endorsement, and
-        once more for each commit of it."""
+        endorsed transaction's id is encoded once, for its endorsement. On a
+        fresh world every commit of the level is a first commit, which reads
+        the endorser's bytes, so no commit encodes."""
         encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
         commit_side = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
         applied = _count_calls(monkeypatch, sys.modules["vaxledger.engine"], "apply_block")
@@ -621,7 +623,7 @@ class TestSealEncodesOnce:
         endorsed = [tx.tx_id for tx in setup.chain.blocks[0].transactions + tuple(setup.records)]
         assert len(endorsed) == len(EU_MEMBER_STATES) + len(run.provisioned) > 0
         assert [args[0].tx_id for args in commit_side] == committed
-        assert sorted(args[0] for args in encodes) == sorted(endorsed + committed)
+        assert sorted(args[0] for args in encodes) == sorted(endorsed)
 
     def test_setup_endorsement_equals_endorse_transaction(self):
         """A setup transaction, endorsed from the chaincode response, is the one
@@ -632,25 +634,127 @@ class TestSealEncodesOnce:
                                  tx.write_set, payload_size=tx.payload_size)
         assert endorse_transaction(unendorsed, setup.ms_keys["DE"]) == tx
 
-    def test_write_set_changed_after_endorsement_is_rejected(self):
-        setup, chain, state = self._world()
-        good = setup.register_tx(state, "FR", CertificateHash(b"\x61" * 32), b"g" * 16)
-        endorsed = setup.register_tx(state, "FR", CertificateHash(b"\x62" * 32), b"t" * 16)
-        (key, record), = endorsed.write_set
+    # A change to each field of an endorsed transaction, made by `dataclasses.replace`.
+    CHANGES = {
+        "tx_id": lambda tx: {"tx_id": b"forged-tx-id----"},
+        "operation": lambda tx: {"operation": tx.operation + b"\0"},
+        "read_set": lambda tx: {"read_set": tx.read_set[:-1]},
         # Same key, a forged record; the endorsement covers the original one.
-        tampered = dataclasses.replace(
-            endorsed, write_set=((key, {**record, "issuer_did": "did:forged"}),)
-        )
-        expected = state.copy_prefix(len(state))
-        block, flags = setup.seal(chain, state, [Envelope(good, 0, 0), Envelope(tampered, 0, 0)])
-        assert flags[0].valid
-        assert (flags[1].valid, flags[1].reason) == (False, "bad-signature")
-        (good_key, good_record), = good.write_set
-        expected.put(good_key, good_record, (block.number, 0))
-        assert state.get(key) is None
-        assert state.digest() == expected.digest()
-        assert block.data_hash == compute_data_hash(block.transactions)
-        assert chain.verify()
+        "write_set": lambda tx: {"write_set": tuple(
+            (key, {**record, "issuer_did": "did:forged"}) for key, record in tx.write_set)},
+        "endorsements": lambda tx: {"endorsements": ((tx.submitter, bytes(32)),)},
+    }
+
+    def test_write_set_changed_after_endorsement_is_rejected(self):
+        """A copy changed after endorsement, in its write set or in any other
+        field, inherits none of the endorser's bytes: it is encoded from its
+        own fields and fails the signature check, whether it is committed
+        through `SetupWorld.seal` or through `seal_block` and `apply_block`
+        with no payloads, the library path."""
+        for field in self.CHANGES:
+            for commit in ("SetupWorld.seal", "seal_block+apply_block"):
+                case = (field, commit)
+                setup, chain, state = self._world()
+                good = setup.register_tx(state, "FR", CertificateHash(b"\x61" * 32), b"g" * 16)
+                endorsed = setup.register_tx(state, "FR", CertificateHash(b"\x62" * 32), b"t" * 16)
+                assert endorsed._signing_payload is not None
+                tampered = dataclasses.replace(endorsed, **self.CHANGES[field](endorsed))
+                expected = state.copy_prefix(len(state))
+                batch = [Envelope(good, 0, 0), Envelope(tampered, 0, 0)]
+                if commit == "SetupWorld.seal":
+                    block, flags = setup.seal(chain, state, batch)
+                else:
+                    block = seal_block(batch, chain.tip, setup.sealer_key)
+                    chain.append_block(block)
+                    flags = apply_block(state, block, setup.policy)
+                assert flags[0].valid, case
+                assert (flags[1].valid, flags[1].reason) == (False, "bad-signature"), case
+                (good_key, good_record), = good.write_set
+                expected.put(good_key, good_record, (block.number, 0))
+                assert state.get(endorsed.write_set[0][0]) is None, case
+                assert state.digest() == expected.digest(), case
+                assert block.data_hash == compute_data_hash(block.transactions), case
+                assert chain.verify(), case
+
+    def test_the_endorsers_bytes_last_until_the_first_commit(self):
+        setup, chain, state = self._world()
+        txs = [setup.register_tx(state, ms, CertificateHash(bytes([i]) * 32), b"%16d" % i)
+               for i, ms in enumerate(("PL", "PT"))]
+        unendorsed = Transaction(b"u" * 16, "PL", txs[0].operation, txs[0].read_set,
+                                 txs[0].write_set)
+        txs.append(endorse_transaction(unendorsed, setup.ms_keys["PL"]))
+        for tx in txs:
+            assert tx._signing_payload == ledger.encode_signing_payload(
+                tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set)
+        block, flags = setup.seal(chain, state, [Envelope(tx, 0, 0) for tx in txs[:2]])
+        assert all(flag.valid for flag in flags)
+        assert [tx._signing_payload for tx in txs] == [None, None, txs[2]._signing_payload]
+        assert txs[2]._signing_payload is not None
+
+    def test_no_committed_transaction_keeps_the_endorsers_bytes(self, default_levels):
+        """After every default level, no transaction of a level's chain or of
+        its world's chain holds its endorser's bytes."""
+        for step in ("register", "verify"):
+            _config, setup, runs = default_levels[step]
+            chains = [setup.chain] + [run.chain for _metrics, run in runs]
+            held = [tx.tx_id for chain in chains for block in chain.blocks
+                    for tx in block.transactions if tx._signing_payload is not None]
+            assert held == [], step
+            assert all(tx._signing_payload is None for tx in setup.records)
+
+    # Fields that are not immutable, so an endorser cannot hand its bytes on.
+    MUTABLE = {
+        "plain-dict record": lambda tx: {"write_set": tuple(
+            (key, dict(record)) for key, record in tx.write_set)},
+        "list read set": lambda tx: {"read_set": list(tx.read_set)},
+        "list read version": lambda tx: {"read_set": tuple(
+            (key, None if version is None else list(version)) for key, version in tx.read_set)},
+        "bytearray tx id": lambda tx: {"tx_id": bytearray(tx.tx_id)},
+    }
+
+    @pytest.mark.parametrize("field", MUTABLE)
+    def test_mutable_fields_get_no_handoff(self, field, monkeypatch):
+        """Such a transaction is encoded at each use, and still validates."""
+        setup, chain, state = self._world()
+        tx = setup.register_tx(state, "LV", CertificateHash(b"\x33" * 32), b"m" * 16)
+        unendorsed = dataclasses.replace(tx, endorsements=(), **self.MUTABLE[field](tx))
+        endorsed = endorse_transaction(unendorsed, setup.ms_keys["LV"])
+        assert endorsed._signing_payload is None
+        encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
+        block = seal_block([Envelope(endorsed, 0, 0)], chain.tip, setup.sealer_key)
+        chain.append_block(block)
+        assert apply_block(state, block, setup.policy)[0].valid
+        assert len(encodes) == 2  # the data hash, then the signature check
+
+    def test_register_level_encodes_once_per_endorsed_transaction(self, monkeypatch):
+        endorsed = _count_calls(monkeypatch, ledger, "endorse_fields")
+        encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
+        config = default_register_config()
+        setup = SetupWorld(config)
+        _metrics, run = run_level(config, config.tps_levels[0], setup=setup)
+        endorsed_ids = [args[1] for args in endorsed]
+        committed = {tx.tx_id for block in run.chain.blocks for tx in block.transactions}
+        assert len(set(endorsed_ids)) == len(endorsed_ids) == len(committed) > len(EU_MEMBER_STATES)
+        assert set(endorsed_ids) == committed
+        assert [args[0] for args in encodes] == endorsed_ids
+
+    def test_library_path_encodes_once_per_endorsed_transaction(self, monkeypatch):
+        """`endorse_transaction`, then `seal_block` and `apply_block` with no
+        payloads, as a client of the library commits."""
+        setup, chain, state = self._world()
+        txs = []
+        for i, ms in enumerate(EU_MEMBER_STATES[:5]):
+            response = register_certificate(ChaincodeContext(ms, state),
+                                            CertificateHash(bytes([i + 1]) * 32), setup.center_dids[ms])
+            txs.append(Transaction(b"%16d" % i, ms, response.operation, response.read_set,
+                                   response.write_set))
+        encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
+        txs = [endorse_transaction(tx, setup.ms_keys[tx.submitter]) for tx in txs]
+        block = seal_block([Envelope(tx, 0, 0) for tx in txs], chain.tip, setup.sealer_key)
+        chain.append_block(block)
+        assert all(flag.valid for flag in apply_block(state, block, setup.policy))
+        assert [args[0] for args in encodes] == [tx.tx_id for tx in txs]
+        assert all(tx._signing_payload is None for tx in txs)
 
 
 class TestSealSignsTheTip:

@@ -27,6 +27,7 @@ from vaxledger.ledger import (
     compute_data_hash,
     encode_transaction,
     endorse_transaction,
+    make_center_record,
     make_cert_record,
     rich_query,
     transaction_signing_payload,
@@ -289,8 +290,8 @@ class TestApplyBlock:
 
 
 def test_cert_records_share_one_empty_metadata(default_levels):
-    """Every cert record holds one shared `metadata` dict, and no default
-    verify level writes it."""
+    """Every cert record holds one shared `metadata` dict, a read-only record
+    as the cert record is, and no default verify level writes it."""
     first, second = make_cert_record("aa", "DE", "did:a"), make_cert_record("bb", "FR", "did:b")
     metadata = first["metadata"]
     assert second["metadata"] is metadata
@@ -298,7 +299,78 @@ def test_cert_records_share_one_empty_metadata(default_levels):
     for _metrics, run in runs:
         certs = [e.value for _key, e in run.state.items_in_order() if e.value["doc_type"] == "cert"]
         assert all(value["metadata"] is metadata for value in certs)
-    assert type(metadata) is dict and metadata == {}
+    assert isinstance(metadata, dict) and type(metadata) is type(first) and metadata == {}
+    with pytest.raises(TypeError):
+        metadata["note"] = "x"
+
+
+def _plain(record: dict) -> dict:
+    """An equal record built of plain dicts only."""
+    return json.loads(json.dumps(record))
+
+
+class TestReadOnlyRecords:
+    """A record that `make_cert_record` or `make_center_record` returns, and
+    the empty metadata that every cert record shares, refuse every change, and
+    encode, digest, export and match as the equal plain dict does."""
+
+    RECORDS = {
+        "cert": lambda: make_cert_record("ab" * 32, "DE", "did:ex:de"),
+        "center": lambda: make_center_record("de-national-1", "DE", "DE Center", "1 Way", "did:ex:de"),
+        "metadata": lambda: make_cert_record("cd" * 32, "FR", "did:ex:fr")["metadata"],
+    }
+    MUTATIONS = {
+        "setitem": lambda r: r.__setitem__("ms", "FR"),
+        "delitem": lambda r: r.__delitem__("ms"),
+        "ior": lambda r: r.__ior__({"ms": "FR"}),
+        "clear": lambda r: r.clear(),
+        "pop": lambda r: r.pop("ms"),
+        "popitem": lambda r: r.popitem(),
+        "setdefault": lambda r: r.setdefault("extra", 1),
+        "update": lambda r: r.update(ms="FR"),
+    }
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_every_mutator_raises(self, kind, mutation):
+        record = self.RECORDS[kind]()
+        before = _plain(record)
+        with pytest.raises(TypeError):
+            self.MUTATIONS[mutation](record)
+        assert record == before
+
+    def test_a_copy_is_a_plain_dict(self):
+        record = make_cert_record("ef" * 32, "IT", "did:ex:it")
+        assert type({**record}) is type(record | {}) is type(record.copy()) is type(dict(record)) is dict
+
+    @pytest.mark.parametrize("kind", ["cert", "center"])
+    def test_bytes_equal_those_of_a_plain_dict(self, kind, tmp_path):
+        record = self.RECORDS[kind]()
+        plain = _plain(record)
+        assert type(plain) is dict and plain == record
+        assert "".join(_JSON(record, 0)) == "".join(_JSON(plain, 0)) == json.dumps(
+            plain, sort_keys=True, separators=(",", ":"))
+        states = [WorldState(), WorldState()]
+        chains = [Chain(), Chain()]
+        for state, chain, value in zip(states, chains, (record, plain)):
+            state.put("DE/x", value, (0, 0))
+            chain.append_block(make_block(0, ZERO_DIGEST, [make_tx("DE", "DE/x", value)]))
+        assert states[0].digest() == states[1].digest()
+        assert list(chain_snapshot_lines(chains[0])) == list(chain_snapshot_lines(chains[1]))
+
+    def test_rich_query_matches_as_on_plain_dicts(self):
+        records = [make_cert_record(f"{i:064x}", ms, f"did:ex:{ms}")
+                   for i, ms in enumerate(EU_MEMBER_STATES)]
+        records.append(make_center_record("de-national-1", "DE", "DE Center", "1 Way", "did:ex:DE"))
+        states = [WorldState(), WorldState()]
+        for i, record in enumerate(records):
+            states[0].put(f"k{i}", record, (1, i))
+            states[1].put(f"k{i}", _plain(record), (1, i))
+        for predicate in ({"doc_type": "cert"}, {"issuer_did": "did:ex:DE"},
+                          {"doc_type": "cert", "cert_hash": f"{5:064x}"}, {"ms": "none"}):
+            assert rich_query(states[0], predicate) == rich_query(states[1], predicate)
+        assert rich_query(states[0], {"issuer_did": "did:ex:DE"}) == (
+            [_plain(records[10]), _plain(records[-1])], len(records))
 
 
 class TestQueries:

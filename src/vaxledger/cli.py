@@ -18,6 +18,7 @@ import click
 from . import credential as cred
 from .bench import export_csv, render_csv_table, report_to_csv_text, run_scenario
 from .calibrate import CalibrationError, calibrate, format_residuals, load_targets
+from .chaincode import ChaincodeContext, verify_certificate
 from .engine import LevelRun
 from .ledger import EU_MEMBER_STATES
 from .scenario import (
@@ -213,10 +214,10 @@ def verify(credential_file, ms, now, unanchored):
     def start(run):
         if not unanchored:
             run.anchor(ms, anchor)
-        run.start_verify((ms, anchor.hex), ms, 0)
+        run.start_verify(ms, 0)
 
     run, marks = _run_one_request(default_verify_config(), start)
-    found = run.not_found == 0
+    found = verify_certificate(ChaincodeContext(caller=ms, state=run.state), anchor).found
     click.echo(f"verifying anchor {anchor.hex} via {ms}")
     _echo_timeline(
         marks, _VERIFY_LABELS, found="found" if found else "not found", scanned=run.scan_count()

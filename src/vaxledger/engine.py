@@ -31,10 +31,12 @@ offset on the peer station's enqueue. A level is saturated if any request
 failed or any station was offered at least its capacity, λ·S/c ≥ 1.
 
 A level draws its arrival schedule once, when it is built, from its config
-and offered TPS; `preload` provisions one verify target per arrival. Each
-flow has one implementation, `start_register` or `start_verify`, which starts
-one request: `execute` calls it per arrival in arrival order, the CLI once
-on a preloaded world, reading the request's milestones from the message trace.
+and offered TPS; `preload` provisions one verify target per arrival, which
+lengthens the scan. Each flow has one implementation, `start_register` or
+`start_verify`, which starts one request: `execute` calls it per arrival in
+arrival order, the CLI once on a preloaded world, reading the request's
+milestones from the message trace. A verification reads no state: the CLI
+asks the chaincode's `verify_certificate` whether its target is anchored.
 
 The canonical chain and world state are applied once, at seal time; the
 commit station models commit timing only. This keeps a single authoritative
@@ -71,7 +73,6 @@ from .ledger import (
     Transaction,
     WorldState,
     apply_block,
-    cert_key,
     endorse_fields,
     rich_query,
     transaction_signing_payload,
@@ -297,7 +298,6 @@ class LevelRun:
         self.invalid_txs = 0
         self.started = 0
         self.completed = 0
-        self.not_found = 0
         self._keepalive_at = self.profile.keepalive_interval_ms * 1000
         self._timer_armed_at: int | None = None  # the last batch deadline scheduled
         self._broker_rr = 0
@@ -491,20 +491,18 @@ class LevelRun:
             self._scan_memo = scanned, round(self.profile.query_per_record_us * scanned)
         return self._scan_memo[0]
 
-    def start_verify(self, target: tuple, ms: str, arrived_at: int) -> None:
-        """Client at `ms` asks its peer whether `target` = (record ms, cert hex)
-        is anchored; the request arrived at `arrived_at`. Every query enters the
-        pool after one offset, so requests started in arrival order are served FIFO."""
+    def start_verify(self, ms: str, arrived_at: int) -> None:
+        """Client at `ms` queries its peer; the request arrived at `arrived_at`.
+        It books its hops and its query job and reads no state: found or not
+        is the contract's answer. Every query enters the pool after one offset,
+        so requests started in arrival order are served FIFO."""
         self.started += 1
-        record_ms, cert_hex = target
         delivery = self.net.post(
             _CLIENT[ms], _PEER[ms], self.profile.query_bytes, "query", arrived_at
         )
         if self._scan_memo is None:
             self.scan_count()  # the level's one query, which also fixes its service time
         finish = self.query_station.enqueue(delivery + self.rest_us, self._scan_memo[1])
-        if self.state.get(cert_key(record_ms, cert_hex)) is None:
-            self.not_found += 1
         self._respond(ms, self.profile.response_bytes, arrived_at, finish)
 
     # ------------------------------------------------------------------
@@ -521,9 +519,7 @@ class LevelRun:
                 digest = hashlib.sha256(b"live-cert|%d|%d" % (level_tag, index)).digest()
                 self.start_register(CertificateHash(digest), ms, at)
             else:
-                tx = self.provisioned[index % len(self.provisioned)]
-                target = tx.submitter, tx.write_set[0][1]["cert_hash"]  # (record ms, cert hex)
-                self.start_verify(target, EU_MEMBER_STATES[0], at)
+                self.start_verify(EU_MEMBER_STATES[0], at)
         self._book_gossip()
         self.queue.run_until(self.duration_us)
         self._book_keepalives(self.duration_us + 1)

@@ -3,7 +3,7 @@
 Simulated time is integer microseconds; ties fire in insertion order. Link
 transit is latency plus transmission, with the TLS framing cost folded in as a
 constant per-message byte overhead. `transit_delay` returns the exact rational
-delay; the event layer quantizes it with ceiling division so the hot path
+delay; the event layer rounds it up once per message size, so the hot path
 stays in pure integer arithmetic.
 
 Every host is a flat-mesh endpoint named by the caller; the core keeps no
@@ -65,12 +65,8 @@ def transit_delay(link: LinkParams, size_bytes: int) -> Fraction:
 
 
 def transit_delay_us(link: LinkParams, size_bytes: int) -> int:
-    """Ceiling-quantized transit delay used by the event layer."""
-    if size_bytes <= 0:
-        raise ValueError("message size must be positive")
-    bits = (size_bytes + link.tls_overhead_bytes) * 8
-    transmission = -(-bits * 1_000_000 // link.bandwidth_bps)
-    return link.latency_us + transmission
+    """`transit_delay` rounded up to whole microseconds, as the event layer schedules it."""
+    return math.ceil(transit_delay(link, size_bytes))
 
 
 class EventQueue:
@@ -235,26 +231,23 @@ class MessageLayer:
         self.transit_us = functools.cache(functools.partial(transit_delay_us, link))
 
     def send(self, src: str, dst, size: int, kind: str, on_delivery) -> int:
-        """Dispatch one message now to `dst`, a host or a tuple of hosts each
-        metered and traced; one event delivers, running `on_delivery()` once.
-        Returns the delivery time."""
-        dsts = (dst,) if isinstance(dst, str) else dst
+        """Send one message now to `dst`, a host or a tuple of hosts. Every
+        copy is metered and traced at both ends when sent, as `post` does; one
+        event at the delivery runs `on_delivery()`. Returns the delivery time."""
         now = self.queue.clock
-        wire_size = size + self.link.tls_overhead_bytes
-        self.meter.on_send(src, wire_size * len(dsts), now)
-        if self.tracer is not None:
-            for _ in dsts:
-                self.tracer.record(now, f"send:{kind}", src, wire_size)
-        delivery = now + self.transit_us(size)
-
-        def deliver():
+        if isinstance(dst, str):
+            delivery = self.post(src, dst, size, kind, now)
+        else:
+            wire_size = size + self.link.tls_overhead_bytes
+            delivery = now + self.transit_us(size)
+            self.meter.on_send(src, wire_size * len(dst), now)
             self.meter.on_receive(dst, wire_size, delivery)
             if self.tracer is not None:
-                for host in dsts:
+                for _ in dst:
+                    self.tracer.record(now, f"send:{kind}", src, wire_size)
+                for host in dst:
                     self.tracer.record(delivery, f"recv:{kind}", host, wire_size)
-            on_delivery()
-
-        self.queue.schedule(delivery, deliver)
+        self.queue.schedule(delivery, on_delivery)
         return delivery
 
     def book(self, src: str, dst: str, size: int, at: int, step: int, count: int) -> int:

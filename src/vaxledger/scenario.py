@@ -121,8 +121,8 @@ class ScenarioConfig:
 
     `preloaded_records` is the certificate-record population anchored before
     the measurement window. Verify scenarios additionally provision one
-    distinct target record per planned request (a request must have something
-    to look up), so the worst-case scan length at level L is
+    distinct target record per planned request; the targets set the scan
+    length, so the worst-case scan length at level L is
     preloaded_records + round(L * duration). Every verification is a
     worst-case content query at one member state's peer.
     """

@@ -25,7 +25,12 @@ from vaxledger.calibrate import (
     calibrate,
     load_targets,
 )
-from vaxledger.chaincode import AlreadyRegisteredError, ChaincodeContext, register_certificate
+from vaxledger.chaincode import (
+    AlreadyRegisteredError,
+    ChaincodeContext,
+    register_certificate,
+    verify_certificate,
+)
 from vaxledger.credential import CertificateHash, verify_payload
 from vaxledger.engine import LevelRun, SetupWorld, run_level
 from vaxledger import bench, ledger
@@ -308,11 +313,12 @@ class TestScenarioBehavior:
         config = default_verify_config()
         run = LevelRun(config, 1)
         run.preload()
-        run.start_verify(("DE", CertificateHash(b"\x5c" * 32).hex), "DE", 0)
+        run.start_verify("DE", 0)
         run.queue.drain()
         assert run.started == run.completed == 1
         assert run.errors == 0
-        assert run.not_found == 1
+        ctx = ChaincodeContext(caller="DE", state=run.state)
+        assert not verify_certificate(ctx, CertificateHash(b"\x5c" * 32)).found
         assert len(run.responses_us) == 1
 
     @pytest.mark.parametrize("tps, saturated", [(190, False), (200, True)])
@@ -454,6 +460,34 @@ class TestSetupWorld:
         tx = run.setup.register_tx(run.state, "FR", CertificateHash(b"\x70" * 32), b"c" * 16)
         (center, _version), _cert_read = tx.read_set
         assert center.startswith("FR/center/") and center is keys[center]
+
+    def test_setup_block_with_an_invalid_transaction_is_refused(self):
+        """A setup block must validate whole: a certificate that DE submits
+        but FR's key endorsed fails the policy, so its block is refused."""
+        config = default_verify_config(duration_seconds=1, preloaded_records=10)
+        setup = SetupWorld(config)
+        for key_ms, refused in (("DE", False), ("FR", True)):
+            chain, state = setup.fork(10)
+            ctx = ChaincodeContext(caller="DE", state=state)
+            response = register_certificate(
+                ctx, CertificateHash(b"\x71" * 32), setup.center_dids["DE"]
+            )
+            tx = ledger.endorse_fields(setup.ms_keys[key_ms], b"f" * 16, "DE",
+                                       response.operation, response.read_set, response.write_set)
+            if refused:
+                with pytest.raises(RuntimeError, match="invalid transactions"):
+                    setup.commit_setup_block(chain, state, [tx])
+            else:
+                setup.commit_setup_block(chain, state, [tx])
+
+    def test_scan_for_a_target_missing_from_state_is_refused(self):
+        """The level's one query looks up its newest provisioned record, which
+        a world forked one record short does not hold."""
+        run = LevelRun(default_verify_config(duration_seconds=1, preloaded_records=10), 1)
+        run.preload()
+        run.chain, run.state = run.setup.fork(len(run.provisioned) - 1)
+        with pytest.raises(RuntimeError, match="missing from state"):
+            run.scan_count()
 
     @pytest.mark.parametrize(
         "level_config, world_config",

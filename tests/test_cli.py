@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from vaxledger.cli import main
 from vaxledger.engine import run_level
-from vaxledger.scenario import default_register_config
+from vaxledger.scenario import DEFAULT_PROFILE, default_register_config
 
 REGISTER_TIMELINE = [
     "    0.00 ms  request submitted by client-DE",
@@ -22,6 +22,9 @@ REGISTER_TIMELINE = [
     "   92.00 ms  committed at peer-DE: transaction valid",
     "   95.01 ms  acknowledgment received by client-DE",
 ]
+
+REFERENCE_TARGETS = str(Path(__file__).parent.parent / "benchmarks" / "reference_targets.csv")
+RESIDUAL_HEADER = "step     tps      kind              target   simulated   rel_err"
 
 # A well-formed fixture, with the resolution hints that `issue` adds.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_credential.json").read_text())
@@ -134,6 +137,12 @@ class TestRegisterVerify:
         assert result.exit_code == 0
         assert "anchor NOT found" in result.output
 
+    @pytest.mark.parametrize("command", ["register", "verify"])
+    def test_unknown_ms_config_error(self, fixture_path, runner, command):
+        result = runner.invoke(main, [command, "--ms", "XX", str(fixture_path)])
+        assert result.exit_code == 1
+        assert result.stderr == "config error: unknown member state: XX\n"
+
     def test_verify_expired(self, fixture_path, runner):
         result = runner.invoke(
             main, ["verify", str(fixture_path), "--now", str(2_000_000_000)]
@@ -210,6 +219,46 @@ class TestCalibrateAndReport:
         result = runner.invoke(main, ["calibrate", "--targets", str(targets)])
         assert result.exit_code == 2
         assert "peer_bandwidth_kb" in result.stderr
+
+    def test_calibrate_without_rounds_reports_the_initial_profile(self, tmp_path, runner):
+        """With no round, `calibrate` evaluates `DEFAULT_PROFILE` once and
+        prints its errors, its residual table and the profile itself."""
+        out = tmp_path / "profile.json"
+        printed = runner.invoke(main, ["calibrate", "--targets", REFERENCE_TARGETS,
+                                       "--max-rounds", "0"])
+        written = runner.invoke(main, ["calibrate", "--targets", REFERENCE_TARGETS,
+                                       "--max-rounds", "0", "--out", str(out)])
+        profile = dataclasses.asdict(DEFAULT_PROFILE)
+        for result in (printed, written):
+            assert result.exit_code == 0, result.output
+            lines = result.stdout.splitlines()
+            assert lines[:3] == [
+                "fit complete after 0 round(s), 1 evaluations",
+                "mean relative error: response 12.4%, peer bandwidth 24.8%",
+                RESIDUAL_HEADER,
+            ]
+            assert len(lines[3:31]) == 28  # a response and a bandwidth row per target
+            assert lines[3] == "register 1        response             84.0       95.0    13.1%"
+        assert json.loads("\n".join(printed.stdout.splitlines()[31:])) == profile
+        assert written.stdout.splitlines()[31:] == [f"profile written to {out}"]
+        assert json.loads(out.read_text()) == profile
+
+    def test_calibrate_unattainable_targets_exit_code(self, tmp_path, runner):
+        """Every response target tripled: the fit fails, with its residual table on stderr."""
+        rows = Path(REFERENCE_TARGETS).read_text().splitlines()
+        tripled = [rows[0]]
+        for row in rows[1:]:
+            step, tps, response, *rest = row.split(",")
+            tripled.append(",".join([step, tps, str(3 * float(response)), *rest]))
+        targets = tmp_path / "targets.csv"
+        targets.write_text("\n".join(tripled) + "\n")
+        result = runner.invoke(main, ["calibrate", "--targets", str(targets), "--max-rounds", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("calibration failure: ")
+        assert lines[1] == RESIDUAL_HEADER
+        assert len(lines) == 30
 
     def test_report_renders_table(self, tmp_path, runner):
         csv_path = tmp_path / "r.csv"

@@ -204,6 +204,18 @@ class TestChain:
                 chain.blocks[block_index] = original
         assert chain.verify()
 
+    def test_replaced_prev_hash_detected(self):
+        chain = Chain()
+        chain.append_block(make_block(0, ZERO_DIGEST, [make_tx("DE", "DE/a", {"v": 1})]))
+        chain.append_block(make_block(1, chain.tip_hash, [make_tx("IT", "IT/c", {"v": 3})]))
+        for index in range(2):
+            original = chain.blocks[index]
+            forged = hashlib.sha256(b"forged").digest()
+            chain.blocks[index] = replace(original, prev_hash=forged)
+            assert not chain.verify(), index
+            chain.blocks[index] = original
+        assert chain.verify()
+
 
 class TestApplyBlock:
     def test_valid_write_lands_with_version(self):

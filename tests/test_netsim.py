@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vaxledger.netsim import (
     BandwidthMeter,
@@ -19,6 +19,8 @@ from vaxledger.netsim import (
     transit_delay,
     transit_delay_us,
 )
+from vaxledger.chaincode import ChaincodeContext, verify_certificate
+from vaxledger.credential import CertificateHash
 from vaxledger.ledger import EU_MEMBER_STATES
 from vaxledger.ordering import BatchConfig
 from vaxledger.scenario import DEFAULT_PROFILE
@@ -43,10 +45,22 @@ class TestTransitDelay:
             assert slow_tx == 10 * fast_tx
             assert transit_delay(slow, size) - slow_tx == transit_delay(fast, size) - fast_tx
 
-    def test_quantized_is_ceiling(self):
-        link = LinkParams(latency_us=3000, bandwidth_bps=10**9, tls_overhead_bytes=60)
-        exact = transit_delay(link, 100)
-        assert transit_delay_us(link, 100) == -(-exact.numerator // exact.denominator)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        latency=st.integers(0, 10**6),
+        bandwidth=st.integers(1, 10**10),
+        overhead=st.integers(0, 200),
+        size=st.integers(1, 10**7),
+    )
+    @example(latency=3000, bandwidth=10**9, overhead=60, size=100)
+    def test_quantized_is_ceiling(self, latency, bandwidth, overhead, size):
+        link = LinkParams(latency_us=latency, bandwidth_bps=bandwidth, tls_overhead_bytes=overhead)
+        exact = transit_delay(link, size)
+        bits = (size + overhead) * 8
+        assert transit_delay_us(link, size) == -(-exact.numerator // exact.denominator)
+        assert transit_delay_us(link, size) == latency + -(-bits * 10**6 // bandwidth)
+        with pytest.raises(ValueError):
+            transit_delay_us(link, 0)
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
@@ -402,7 +416,7 @@ class TestSeriesBooking:
     )
     def test_send_to_host_equals_send_to_one_host_tuple(self, now, size, latency, data):
         """A receiver named alone is metered and traced as the one-host tuple
-        is: the sender on sending, the receiver on delivery."""
+        is: both ends when the message is sent."""
         link = LinkParams(latency_us=latency)
         wire, transit = size + link.tls_overhead_bytes, transit_delay_us(link, size)
         if data.draw(st.booleans()):
@@ -420,12 +434,12 @@ class TestSeriesBooking:
             outcomes.append((delivery, delivered, in_flight, _window_bytes(meter, ("s", "h")),
                              meter.total_sent, meter.total_received, trace.getvalue()))
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][:3] == (now + transit, [now + transit], (wire, 0))
+        assert outcomes[0][:3] == (now + transit, [now + transit], (wire, wire))
 
-    def test_conservation_checks_messages_in_flight(self):
+    def test_fan_out_is_metered_at_both_ends_when_sent(self):
         queue, meter = EventQueue(), BandwidthMeter(window_us=self.WINDOW)
         MessageLayer(queue, LinkParams(), meter).send("s", ("a", "b"), 100, "x", lambda: None)
-        assert meter.total_sent > meter.total_received
+        assert meter.total_sent == meter.total_received == 2 * 160
         queue.drain()
         assert meter.total_sent == meter.total_received == 2 * 160
 
@@ -709,14 +723,22 @@ def _flow_digest(metrics, run) -> str:
     """SHA-256 over what a level's request flows produce: responses in
     order, the busy and offered times and the sorted free-at times (the
     multiset, not the heap's order) of every station the level built,
-    per-host window bytes, meter totals, request counters, metrics but the
-    event count, and the ledger's state digest and tip."""
+    per-host window bytes, meter totals, request counters, the provisioned
+    records that `verify_certificate` does not find, metrics but the event
+    count, and the ledger's state digest and tip."""
     from vaxledger.engine import ORDERING_HOSTS, PEER_HOSTS
 
     stations = [station for group in run.stations.values() for station in group]
     hosts = PEER_HOSTS + ORDERING_HOSTS + tuple(f"client-{ms}" for ms in EU_MEMBER_STATES)
+    not_found = sum(
+        not verify_certificate(
+            ChaincodeContext(caller=tx.submitter, state=run.state),
+            CertificateHash(bytes.fromhex(tx.write_set[0][1]["cert_hash"])),
+        ).found
+        for tx in run.provisioned
+    )
     counters = (run.started, run.completed, run.errors, run.accepted, run.committed,
-                run.invalid_txs, run.not_found)
+                run.invalid_txs, not_found)
     fields = dataclasses.asdict(metrics)
     del fields["processed_events"]
     parts = [

@@ -134,9 +134,12 @@ def _check_targets(targets) -> None:
             raise CalibrationError(f"target step must be one of {_STEPS}, got {t.step!r}")
         if not all(0 < v < math.inf for v in (t.tps, t.response_time_ms, t.peer_bandwidth_kb)):
             raise CalibrationError(f"{t.step}@{t.tps:g}: tps and targets must be finite and > 0")
-    have = {(t.step, t.tps) for t in targets}
+    have = [(t.step, float(t.tps)) for t in targets]
+    repeated = sorted({row for row in have if have.count(row) > 1})
+    if repeated:
+        raise CalibrationError(f"targets repeat row(s): {repeated}")
     required = {("register", 1.0), ("register", 28.0), ("verify", 1.0), ("verify", 100.0)}
-    missing = required - have
+    missing = required - set(have)
     if missing:
         raise CalibrationError(f"targets missing required rows: {sorted(missing)}")
 

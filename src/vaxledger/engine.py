@@ -75,7 +75,6 @@ from .ledger import (
     apply_block,
     endorse_fields,
     rich_query,
-    transaction_signing_payload,
 )
 from .netsim import (
     BandwidthMeter,
@@ -194,16 +193,12 @@ class SetupWorld:
     def seal(self, chain: Chain, state: WorldState, batch: list) -> tuple:
         """Seal a batch onto `chain` and apply it to `state`; returns (block, validity flags).
 
-        One signing payload per transaction serves both the data hash and the
-        endorsement check: at a first commit, the bytes its endorser signed,
-        which encode its own immutable fields; at a re-commit, encoded from
-        those fields. A changed copy of a transaction is a new object that is
-        encoded from its own fields, so it fails validation.
+        The data hash and the endorsement check read the signing payload each
+        transaction carries, its endorser's or the one `seal_block` attaches.
         """
-        payloads = [transaction_signing_payload(envelope.transaction) for envelope in batch]
-        block = seal_block(batch, chain.tip, self.sealer_key, payloads=payloads)
+        block = seal_block(batch, chain.tip, self.sealer_key)
         chain.append_block(block)
-        return block, apply_block(state, block, self.policy, payloads=payloads)
+        return block, apply_block(state, block, self.policy)
 
     def commit_setup_block(self, chain: Chain, state: WorldState, txs: list) -> None:
         """Seal `txs` onto `chain` as one setup block; each must validate."""

@@ -7,8 +7,8 @@ signature from its own submitting member state, nothing else), a namespace
 check (each member state may write only under its own ``<code>/`` prefix), and
 an MVCC read-version check.
 
-Every record is read-only: `make_cert_record` and `make_center_record` return
-a `dict` whose mutators raise `TypeError`, so an encoding of it stays valid.
+Records are read-only `dict`s, so an encoding stays valid; hashing and validation
+read a transaction's signing payload from the transaction alone, never from a caller.
 
 Commit is single-writer; any number of readers may query committed state
 concurrently.
@@ -145,7 +145,7 @@ class Transaction:
     write_set: tuple
     endorsements: tuple = ()
     payload_size: int = 0
-    # The endorser's signing payload, from `endorse_fields` to the first `apply_block`.
+    # Its signing payload, from `endorse_fields` or `seal_block` to the next `apply_block`.
     _signing_payload: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -185,18 +185,15 @@ def encode_signing_payload(tx_id: bytes, submitter: str, operation: bytes, read_
 
 
 def transaction_signing_payload(tx: Transaction) -> bytes:
-    """`encode_signing_payload` of the transaction's fields: the bytes its
-    endorser signed until its first commit, else encoded anew. Never attaches."""
+    """`encode_signing_payload` of the transaction's fields: the bytes it
+    carries until its next commit, else encoded anew. Never attaches."""
     return tx._signing_payload or encode_signing_payload(
         tx.tx_id, tx.submitter, tx.operation, tx.read_set, tx.write_set)
 
 
-def encode_transaction(tx: Transaction, signing_payload: bytes) -> bytes:
-    """Full canonical encoding, endorsements included (hashed into blocks).
-
-    `signing_payload` must be `transaction_signing_payload(tx)`.
-    """
-    parts = [signing_payload, _U32(len(tx.endorsements))]
+def encode_transaction(tx: Transaction) -> bytes:
+    """Full canonical encoding, endorsements included (hashed into blocks)."""
+    parts = [transaction_signing_payload(tx), _U32(len(tx.endorsements))]
     for ms, signature in tx.endorsements:
         ms = ms.encode()
         parts += _U32(len(ms)), ms, _U32(len(signature)), signature
@@ -215,23 +212,24 @@ def endorse_fields(keypair, tx_id, submitter, operation, read_set, write_set,
     signature = sign_payload(keypair.scheme_id, keypair.private_key, payload)
     tx = Transaction(tx_id, submitter, operation, read_set, write_set,
                      endorsements + ((submitter, signature),))
-    if _immutable(tx_id, operation, read_set, write_set):
-        object.__setattr__(tx, "_signing_payload", payload)
+    _attach_signing_payload(tx, payload)
     return tx
 
 
-def _immutable(tx_id, operation, read_set, write_set) -> bool:
-    """Whether no object that these fields' signing payload encodes can change."""
-    if not (tx_id.__class__ is bytes and operation.__class__ is bytes
-            and read_set.__class__ is tuple and write_set.__class__ is tuple):
-        return False
-    for pair in read_set:
+def _attach_signing_payload(tx: Transaction, payload: bytes | None = None) -> None:
+    """Attach `payload`, else the encoding of `tx`'s fields, to `tx`, unless it
+    holds one already or an object that the encoding covers can change."""
+    if tx._signing_payload is not None or not (
+            tx.tx_id.__class__ is bytes and tx.operation.__class__ is bytes
+            and tx.read_set.__class__ is tuple and tx.write_set.__class__ is tuple):
+        return
+    for pair in tx.read_set:
         if pair.__class__ is not tuple or not (pair[1] is None or pair[1].__class__ is tuple):
-            return False
-    for pair in write_set:
+            return
+    for pair in tx.write_set:
         if pair.__class__ is not tuple or pair[1].__class__ is not _Record:
-            return False
-    return True
+            return
+    object.__setattr__(tx, "_signing_payload", payload or transaction_signing_payload(tx))
 
 
 def endorse_transaction(tx: Transaction, keypair) -> Transaction:
@@ -265,18 +263,14 @@ class ValidationResult:
 _VALID = ValidationResult(valid=True)
 
 
-def validate_transaction(
-    tx: Transaction, policy: EndorsementPolicy, state: "WorldState", payload: bytes | None = None
-) -> ValidationResult:
+def validate_transaction(tx: Transaction, policy: EndorsementPolicy, state: WorldState) -> ValidationResult:
     """Policy, namespace, and MVCC checks, reported in that order.
 
     Returns Valid only when (a) the transaction bears a valid endorsement
     signature from its submitter, (b) every written key lies inside the
     submitter's namespace, and (c) every read version still matches the state.
-    `payload`, if given, must be `transaction_signing_payload(tx)`: the
-    endorser's bytes only while the transaction holds them, and they encode
-    its own immutable fields, so the signature is checked against what the
-    block holds.
+    The signature is checked against `transaction_signing_payload(tx)`, the
+    encoding of the transaction's own fields.
     """
     public_key = policy.roster.get(tx.submitter)
     signature = None
@@ -286,9 +280,7 @@ def validate_transaction(
             break
     if public_key is None or signature is None:
         return ValidationResult(valid=False, reason="bad-signature")
-    if payload is None:
-        payload = transaction_signing_payload(tx)
-    if not verify_payload(policy.scheme_id, public_key, payload, signature):
+    if not verify_payload(policy.scheme_id, public_key, transaction_signing_payload(tx), signature):
         return ValidationResult(valid=False, reason="bad-signature")
     prefix = tx.submitter + "/"
     for key, _value in tx.write_set:
@@ -311,14 +303,11 @@ class Block:
     sealer_signature: bytes = b""
 
 
-def compute_data_hash(transactions, payloads=None) -> bytes:
-    """Digest over the block's transaction encodings; `payloads`, if given,
-    holds each transaction's `transaction_signing_payload`, in order."""
-    if payloads is None:
-        payloads = map(transaction_signing_payload, transactions)
+def compute_data_hash(transactions) -> bytes:
+    """Digest over the block's transaction encodings."""
     h = hashlib.sha256()
-    for tx, payload in zip(transactions, payloads, strict=True):
-        encoded = encode_transaction(tx, payload)
+    for tx in transactions:
+        encoded = encode_transaction(tx)
         h.update(_U32(len(encoded)) + encoded)
     return h.digest()
 
@@ -423,20 +412,17 @@ class Chain:
         return prev == self.tip_hash
 
 
-def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy, payloads=None) -> list:
+def apply_block(state: WorldState, block: Block, policy: EndorsementPolicy) -> list:
     """Validate and apply a committed block's transactions in order.
 
     Valid transactions' writes land with version (block number, tx index);
     invalid ones stay in the block but leave state untouched. Returns the
-    per-transaction ValidationResult list. `payloads`, if given, holds each
-    transaction's signing payload as `validate_transaction` takes it. Each
-    validated transaction drops its endorser's bytes: only a first commit reads them.
+    per-transaction ValidationResult list. Each validated transaction drops
+    its signing payload, so no committed transaction holds one.
     """
-    if payloads is None:
-        payloads = (None,) * len(block.transactions)
     flags = []
-    for index, (tx, payload) in enumerate(zip(block.transactions, payloads, strict=True)):
-        result = validate_transaction(tx, policy, state, payload)
+    for index, tx in enumerate(block.transactions):
+        result = validate_transaction(tx, policy, state)
         object.__setattr__(tx, "_signing_payload", None)
         flags.append(result)
         if result.valid:

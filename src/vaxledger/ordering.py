@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .credential import KeyPair, sign_payload
-from .ledger import Block, Transaction, compute_data_hash, compute_block_hash
+from .ledger import Block, Transaction, _attach_signing_payload, compute_data_hash, compute_block_hash
 
 __all__ = [
     "ROLES",
@@ -132,19 +132,19 @@ class OrderingCluster:
         return log[start:stop]
 
 
-def seal_block(
-    batch: list[Envelope], prev_tip: tuple, sealer_key: KeyPair, payloads=None
-) -> Block:
+def seal_block(batch: list[Envelope], prev_tip: tuple, sealer_key: KeyPair) -> Block:
     """Seal a batch into the next block after `prev_tip` = (number, digest).
 
-    `payloads`, if given, holds each transaction's signing payload, in order
-    (see `compute_data_hash`).
+    A transaction holding no signing payload (a re-commit) gets one encoding
+    attached, for the data hash and `apply_block`; a first commit holds its endorser's.
     """
     if not batch:
         raise ValueError("cannot seal an empty batch")
     prev_number, prev_digest = prev_tip
     transactions = tuple([envelope.transaction for envelope in batch])
-    data_hash = compute_data_hash(transactions, payloads)
+    for tx in transactions:
+        _attach_signing_payload(tx)
+    data_hash = compute_data_hash(transactions)
     number = prev_number + 1
     header_hash = compute_block_hash(number, prev_digest, data_hash)
     signature = sign_payload(sealer_key.scheme_id, sealer_key.private_key, header_hash)

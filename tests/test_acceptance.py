@@ -51,7 +51,7 @@ from vaxledger.workload import (
     required_registration_tps,
     required_verification_tps,
 )
-from tests.test_ledger import KEYS, POLICY
+from ledger_helpers import KEYS, POLICY
 
 TARGETS = {
     (row.step, row.tps): row for row in load_targets("benchmarks/reference_targets.csv")

@@ -88,6 +88,27 @@ class TestConfigSchema:
             with pytest.raises(ConfigError):
                 dataclasses.replace(DEFAULT_PROFILE, **{field.name: value})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"arrival_mode": "burst"}, "arrival_mode"),
+            ({"preloaded_records": -1}, "preloaded_records"),
+            ({"fault_schedule": [[0.5, "sequencer", 0]]}, "fault_schedule entries"),
+            ({"fault_schedule": [[0.5, "sequencer", 3, "down"]]}, "index 3 out of range"),
+            ({"fault_schedule": [[0.5, "sequencer", 0, "off"]]}, "fault status"),
+            ([], "scenario config must be a JSON object"),
+            ({"link": 5}, "link must be a JSON object"),
+            ({"link": {"tls_overhead_bytes": -1}}, "tls overhead"),
+            ({"batch": {"max_message_count": 0}}, "batch parameters"),
+        ],
+        ids=["arrival-mode", "preloaded", "fault-arity", "fault-index", "fault-status",
+             "not-an-object", "link-not-an-object", "link-rule", "batch-rule"],
+    )
+    def test_rejected_value_names_its_rule(self, doc, message):
+        """Each rule, the link's and the batch's included, fails as a config error that names it."""
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             config_from_dict({"step": "mine"})
@@ -177,6 +198,12 @@ class TestReportCsv:
         lines = table.splitlines()
         assert "step" in lines[0] and "tps" in lines[0]
         assert set(lines[1]) <= {"-", " "}
+        with pytest.raises(ValueError, match="empty CSV"):
+            render_csv_table("\n")
+
+    def test_unknown_level_rejected(self, small_register_report):
+        with pytest.raises(KeyError, match="tps level 3"):
+            small_register_report.level(3)
 
 
 class TestScenarioBehavior:
@@ -618,8 +645,8 @@ def _count_calls(monkeypatch, module, name) -> list:
 class TestSealEncodesOnce:
     """Each endorsed transaction's signing payload is encoded once, by its
     endorser, whose bytes serve its first commit for both the data hash and
-    the endorsement check. A re-commit, or a copy changed after endorsement,
-    is encoded from the transaction's own fields."""
+    the endorsement check. A re-commit is encoded once, by `seal_block`; a
+    copy changed after endorsement is encoded from its own fields."""
 
     @staticmethod
     def _world():
@@ -635,17 +662,18 @@ class TestSealEncodesOnce:
             )
             for i, ms in enumerate(("AT", "FR", "DE", "AT", "NL"))
         ]
-        calls = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
+        encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
         block, flags = setup.seal(chain, state, [Envelope(tx, 0, 0) for tx in txs])
         assert all(flag.valid for flag in flags)
-        assert [args[0].tx_id for args in calls] == [tx.tx_id for tx in txs]
+        assert encodes == []  # a first commit reads the endorser's bytes
         assert block.data_hash == compute_data_hash(block.transactions)
 
     def test_verify_level_encodes_once_per_endorsement_and_commit(self, monkeypatch):
         """Every signing payload goes through `encode_signing_payload`: each
         endorsed transaction's id is encoded once, for its endorsement. On a
         fresh world every commit of the level is a first commit, which reads
-        the endorser's bytes, so no commit encodes."""
+        the endorser's bytes twice, for the data hash and for the signature
+        check, so no commit encodes."""
         encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
         commit_side = _count_calls(monkeypatch, ledger, "transaction_signing_payload")
         applied = _count_calls(monkeypatch, sys.modules["vaxledger.engine"], "apply_block")
@@ -656,7 +684,8 @@ class TestSealEncodesOnce:
         assert len(committed) == sum(len(block.transactions) for block in run.chain.blocks)
         endorsed = [tx.tx_id for tx in setup.chain.blocks[0].transactions + tuple(setup.records)]
         assert len(endorsed) == len(EU_MEMBER_STATES) + len(run.provisioned) > 0
-        assert [args[0].tx_id for args in commit_side] == committed
+        assert [args[0].tx_id for args in commit_side] == [
+            tx.tx_id for _state, block, *_ in applied for tx in block.transactions * 2]
         assert sorted(args[0] for args in encodes) == sorted(endorsed)
 
     def test_setup_endorsement_equals_endorse_transaction(self):
@@ -683,8 +712,8 @@ class TestSealEncodesOnce:
         """A copy changed after endorsement, in its write set or in any other
         field, inherits none of the endorser's bytes: it is encoded from its
         own fields and fails the signature check, whether it is committed
-        through `SetupWorld.seal` or through `seal_block` and `apply_block`
-        with no payloads, the library path."""
+        through `SetupWorld.seal` or through `seal_block` and `apply_block`,
+        the library path."""
         for field in self.CHANGES:
             for commit in ("SetupWorld.seal", "seal_block+apply_block"):
                 case = (field, commit)
@@ -773,8 +802,8 @@ class TestSealEncodesOnce:
         assert [args[0] for args in encodes] == endorsed_ids
 
     def test_library_path_encodes_once_per_endorsed_transaction(self, monkeypatch):
-        """`endorse_transaction`, then `seal_block` and `apply_block` with no
-        payloads, as a client of the library commits."""
+        """`endorse_transaction`, then `seal_block` and `apply_block`, as a
+        client of the library commits."""
         setup, chain, state = self._world()
         txs = []
         for i, ms in enumerate(EU_MEMBER_STATES[:5]):
@@ -789,6 +818,22 @@ class TestSealEncodesOnce:
         assert all(flag.valid for flag in apply_block(state, block, setup.policy))
         assert [args[0] for args in encodes] == [tx.tx_id for tx in txs]
         assert all(tx._signing_payload is None for tx in txs)
+
+    def test_recommit_encodes_once_per_transaction(self, monkeypatch):
+        """Committed transactions sealed again onto a fork through `seal_block`
+        and `apply_block` are encoded once each, at seal, and keep no bytes."""
+        setup, chain, state = self._world()
+        txs = [setup.register_tx(state, ms, CertificateHash(bytes([i + 1]) * 32), b"%16d" % i)
+               for i, ms in enumerate(EU_MEMBER_STATES[:10])]
+        setup.seal(chain, state, [Envelope(tx, 0, 0) for tx in txs])
+        chain, state = setup.fork(0)
+        encodes = _count_calls(monkeypatch, ledger, "encode_signing_payload")
+        block = seal_block([Envelope(tx, 0, 0) for tx in txs], chain.tip, setup.sealer_key)
+        chain.append_block(block)
+        assert all(flag.valid for flag in apply_block(state, block, setup.policy))
+        assert [args[0] for args in encodes] == [tx.tx_id for tx in txs]
+        assert all(tx._signing_payload is None for tx in txs)
+        assert chain.verify()
 
 
 class TestSealSignsTheTip:
@@ -991,9 +1036,10 @@ class TestCalibration:
             TargetRow("verify", 8.0, float("nan"), 495.0),
             TargetRow("register", 8.0, 87.0, float("inf")),
             TargetRow("verify", float("inf"), 91.0, 394.0),
+            TargetRow("register", 28, 130.0, 690.0),  # repeats register@28.0
         ],
         ids=["unknown-step", "zero-response", "negative-bandwidth", "nan-response",
-             "inf-bandwidth", "inf-tps"],
+             "inf-bandwidth", "inf-tps", "repeated-row"],
     )
     def test_unusable_target_fails_before_simulation(self, monkeypatch, bad_row):
         def no_simulation(*args, **kwargs):
@@ -1113,3 +1159,22 @@ class TestCalibration:
                 max_rounds=1,
             )
         assert info.value.residuals
+
+    def test_unstable_profile_is_penalized_and_unmovable_probes_skipped(self, monkeypatch):
+        """One query worker saturates the fast verify levels, which draws both
+        stability penalties; a zero tunable and probes that round back to the
+        current value are skipped, so the round evaluates nothing new."""
+        evaluated = []
+
+        def recorded(*args):
+            evaluated.append(_residuals(*args))
+            return evaluated[-1]
+
+        monkeypatch.setattr("vaxledger.calibrate._residuals", recorded)
+        unstable = dataclasses.replace(DEFAULT_PROFILE, query_workers=1, rest_overhead_ms=0.0)
+        with pytest.raises(CalibrationError) as info:
+            calibrate(load_targets("benchmarks/reference_targets.csv"), unstable,
+                      tunables=("query_workers", "rest_overhead_ms"), max_rounds=1)
+        (residuals, instability), = evaluated
+        assert list(info.value.residuals) == residuals
+        assert instability > 2.0 * 4  # verify@16, 28, 50 and 100 saturate and top the ceiling

@@ -115,7 +115,7 @@ class TestRegisterCertificate:
         """Two proposals for the same hash built on the same snapshot: the
         second one's absent-read goes stale once the first commits."""
         from vaxledger.ledger import validate_transaction
-        from tests.test_ledger import KEYS, POLICY
+        from ledger_helpers import KEYS, POLICY
         from vaxledger.ledger import Transaction, endorse_transaction
 
         state = state_with_center()

@@ -220,6 +220,19 @@ class TestCalibrateAndReport:
         assert result.exit_code == 2
         assert "peer_bandwidth_kb" in result.stderr
 
+    def test_repeated_target_row_exit_code(self, tmp_path, runner, monkeypatch):
+        """A (step, rate) pair given twice would count twice in the fit; it is
+        refused, by name, before any simulation."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("targets must be checked before any simulation")
+
+        monkeypatch.setattr("vaxledger.calibrate.run_scenario", no_simulation)
+        targets = tmp_path / "targets.csv"
+        targets.write_text(Path(REFERENCE_TARGETS).read_text() + "verify,100.0,190,800,1\n")
+        result = runner.invoke(main, ["calibrate", "--targets", str(targets)])
+        assert result.exit_code == 2
+        assert "[('verify', 100.0)]" in result.stderr
+
     def test_calibrate_without_rounds_reports_the_initial_profile(self, tmp_path, runner):
         """With no round, `calibrate` evaluates `DEFAULT_PROFILE` once and
         prints its errors, its residual table and the profile itself."""

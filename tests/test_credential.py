@@ -82,6 +82,26 @@ class TestDid:
             with pytest.raises(ValueError):
                 DecentralizedIdentifier.parse(text)
 
+    def test_bad_method_rejected(self):
+        for method in ("", "bad/char"):
+            with pytest.raises(ValueError, match="DID method"):
+                DecentralizedIdentifier(method, "abc")
+
+
+class TestKeys:
+    def test_empty_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            generate_keypair(generate_did("ms", b"x"), b"")
+
+    def test_unknown_scheme_rejected(self):
+        key = generate_keypair(generate_did("ms", b"x"), b"k", HMAC_SHA256)
+        with pytest.raises(ValueError, match="rsa"):
+            generate_keypair(key.owner, b"k", "rsa")
+        with pytest.raises(ValueError, match="rsa"):
+            sign_payload("rsa", key.private_key, b"p")
+        with pytest.raises(ValueError, match="rsa"):
+            verify_payload("rsa", key.public_key, b"p", b"s")
+
 
 class TestIssue:
     def test_expiration_arithmetic(self):
@@ -101,6 +121,19 @@ class TestIssue:
             make_credential(vaccine_product="")
         with pytest.raises(InvalidCredentialError):
             make_credential(batch_id="")
+
+    def test_invalid_fields_rejected(self):
+        """Each field rule holds for a credential built field by field, not only when issued."""
+        from dataclasses import replace
+
+        credential, _ = make_credential()
+        for change, message in (
+            ({"context": ""}, "context"),
+            ({"dose_number": 0}, "dose counts"),
+            ({"expiration_date": credential.issuance_date}, "expiration_date"),
+        ):
+            with pytest.raises(InvalidCredentialError, match=message):
+                replace(credential, **change)
 
     def test_issue_then_verify_round_trip(self):
         credential, key = make_credential()
@@ -236,6 +269,14 @@ class TestVerify:
         credential, _ = make_credential()
         outcome = verify_credential(credential, {}, credential.issuance_date)
         assert outcome.reason == "unknown-issuer"
+
+    def test_unsigned_rejected(self):
+        from dataclasses import replace
+
+        credential, key = make_credential()
+        keys = {credential.issuer.text: (key.scheme_id, key.public_key)}
+        outcome = verify_credential(replace(credential, proof=None), keys, credential.issuance_date)
+        assert (outcome.accepted, outcome.reason) == (False, "signature")
 
     def test_tamper_any_field_rejected(self):
         credential, key = make_credential()

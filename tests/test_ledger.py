@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vaxledger.credential import HMAC_SHA256, generate_did, generate_keypair
+from vaxledger.credential import HMAC_SHA256
 from vaxledger.ledger import (
     _JSON,
     Block,
@@ -30,35 +30,11 @@ from vaxledger.ledger import (
     make_center_record,
     make_cert_record,
     rich_query,
-    transaction_signing_payload,
     validate_transaction,
     write_snapshot,
 )
 
-
-def ms_keys():
-    keys = {}
-    for ms in EU_MEMBER_STATES:
-        did = generate_did("ms", ms.encode())
-        keys[ms] = generate_keypair(did, b"k|" + ms.encode(), HMAC_SHA256)
-    return keys
-
-
-KEYS = ms_keys()
-POLICY = EndorsementPolicy(
-    roster={ms: kp.public_key for ms, kp in KEYS.items()}, scheme_id=HMAC_SHA256
-)
-
-
-def make_tx(submitter, key, value, reads=(), tx_tag=b"t"):
-    tx = Transaction(
-        tx_id=hashlib.sha256(tx_tag + key.encode()).digest()[:16],
-        submitter=submitter,
-        operation=b"op",
-        read_set=tuple(reads),
-        write_set=((key, value),),
-    )
-    return endorse_transaction(tx, KEYS[submitter])
+from ledger_helpers import KEYS, POLICY, make_tx
 
 
 def make_block(number, prev_hash, txs):
@@ -73,6 +49,11 @@ def make_block(number, prev_hash, txs):
 def test_roster_has_27_members():
     assert len(EU_MEMBER_STATES) == 27
     assert len(set(EU_MEMBER_STATES)) == 27
+
+
+def test_unknown_submitter_rejected():
+    with pytest.raises(ValueError, match="unknown member state code: 'UK'"):
+        Transaction(b"t" * 16, "UK", b"op", (), ())
 
 
 class TestBlockHash:
@@ -264,21 +245,6 @@ class TestApplyBlock:
             e.value for _k, e in state.items_in_order() if e.value.get("doc_type") == "cert"
         ]
         assert len(certs) == 28
-
-    def test_payload_count_must_match_block(self):
-        """A payload list shorter or longer than the block raises instead of
-        leaving transactions unchecked or unhashed."""
-        txs = [make_tx("DE", f"DE/k{i}", {"v": i}, tx_tag=b"p%d" % i) for i in range(2)]
-        block = make_block(0, ZERO_DIGEST, txs)
-        payloads = [transaction_signing_payload(tx) for tx in txs]
-        for wrong in (payloads[:1], payloads + payloads[:1]):
-            with pytest.raises(ValueError):
-                compute_data_hash(block.transactions, wrong)
-            with pytest.raises(ValueError):
-                apply_block(WorldState(), block, POLICY, payloads=wrong)
-        state = WorldState()
-        assert [f.valid for f in apply_block(state, block, POLICY, payloads=payloads)] == [True, True]
-        assert compute_data_hash(block.transactions, payloads) == block.data_hash
 
     def test_replay_reproduces_state(self):
         chain = Chain()
@@ -487,8 +453,7 @@ class TestSnapshot:
         differ only in `payload_size` encode, hash and export alike."""
         tx = make_tx("DE", "DE/a", {"v": 1})
         sized = replace(tx, payload_size=7000)
-        payload = transaction_signing_payload(tx)
-        assert encode_transaction(sized, payload) == encode_transaction(tx, payload)
+        assert encode_transaction(sized) == encode_transaction(tx)
         assert compute_data_hash([sized]) == compute_data_hash([tx])
         snapshots = []
         for t in (tx, sized):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vaxledger import netsim
 from vaxledger.netsim import (
     BandwidthMeter,
     EventQueue,
@@ -86,6 +87,8 @@ class TestTransitDelay:
             LinkParams(bandwidth_bps=0)
         with pytest.raises(ValueError):
             LinkParams(latency_us=-1)
+        with pytest.raises(ValueError, match="tls overhead"):
+            LinkParams(tls_overhead_bytes=-1)
 
 
 class TestEventQueue:
@@ -117,8 +120,26 @@ class TestEventQueue:
         assert q.run_until(10_000) == 0
         assert q.clock == 10_000
 
+    def test_run_past_the_event_limit_raises(self, monkeypatch):
+        """A run that keeps scheduling events stops at `MAX_EVENTS` instead of looping on."""
+        monkeypatch.setattr(netsim, "MAX_EVENTS", 3)
+        q = EventQueue()
+
+        def again():
+            q.schedule(q.clock + 1, again)
+
+        q.schedule(0, again)
+        with pytest.raises(RuntimeError, match="safety limit"):
+            q.run_until()
+
 
 class TestServiceStation:
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match="worker count"):
+            ServiceStation(window_us=1, workers=0)
+        with pytest.raises(ValueError, match="window"):
+            ServiceStation(window_us=0)
+
     def test_fifo_backlog(self):
         station = ServiceStation(window_us=10_000)
         assert station.enqueue(0, 100) == 100

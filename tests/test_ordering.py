@@ -16,7 +16,7 @@ from vaxledger.ordering import (
     ROLE_SIZES,
     seal_block,
 )
-from tests.test_ledger import KEYS, POLICY, make_tx
+from ledger_helpers import KEYS, POLICY, make_tx
 
 
 def make_envelope(i: int, at: int = 0, size: int = 100) -> Envelope:

@@ -36,6 +36,11 @@ class TestRegistrationLoad:
         with pytest.raises(ValueError):
             required_registration_tps(1000, 2, 0)
 
+    def test_zero_population_or_doses_rejected(self):
+        for population, doses in ((0, 2), (1000, 0)):
+            with pytest.raises(ValueError, match="population"):
+                required_registration_tps(population, doses, 1000)
+
 
 class TestVerificationLoad:
     def test_busiest_ms_rate(self):

@@ -190,13 +190,17 @@ def _objective(residuals) -> float:
     return value
 
 
-def _with_param(profile: ServiceTimeProfile, name: str, value):
+def _with_param(profile: ServiceTimeProfile, name: str, factor: float):
+    """`profile` with `name` times `factor`, rounded to a whole number for an int field and
+    to 0.01 for a float one (10 us precision keeps committed constants clean). A value that
+    rounds back moves one rounding step towards `factor` instead, floored at 1 or 0."""
     current = getattr(profile, name)
-    if isinstance(current, int):
-        value = max(1, round(value))
-    else:
-        value = round(value, 2)  # 10 us precision keeps committed constants clean
-    return replace(profile, **{name: value})
+    is_int = profile.__dataclass_fields__[name].type == "int"
+    digits, step, floor = (None, 1, 1) if is_int else (2, 0.01, 0.0)
+    value = round(current * factor, digits)
+    if value == current:
+        value = round(current + (step if factor > 1 else -step), digits)
+    return replace(profile, **{name: max(floor, value)})
 
 
 def calibrate(
@@ -234,17 +238,13 @@ def calibrate(
         rounds += 1
         improved = False
         for name in tunables:
-            base_value = getattr(best_profile, name)
-            if base_value == 0:
-                continue
             for factor in _PROBES:
-                candidate = _with_param(best_profile, name, base_value * factor)
+                candidate = _with_param(best_profile, name, factor)
                 if getattr(candidate, name) == getattr(best_profile, name):
                     continue
                 score, residuals = evaluate(candidate)
                 if score < best_score - 1e-9:
                     best_profile, best_score, best_residuals = candidate, score, residuals
-                    base_value = getattr(best_profile, name)
                     improved = True
         if not improved:
             break

@@ -7,8 +7,7 @@ A caller acts only for its own member state. Verification is one key lookup;
 the engine charges its simulated cost, a worst-case `rich_query`, itself.
 
 Call descriptors (operation name plus length-prefixed arguments) give each
-invocation a byte-stable encoding used for payload-size accounting and for
-embedding the operation in the transaction.
+invocation a byte-stable encoding, which the transaction embeds as its operation.
 """
 
 from __future__ import annotations

@@ -102,11 +102,6 @@ ORDERING_HOSTS = tuple(f"{role}-{i}" for role in ROLES for i in range(ROLE_SIZES
 SETUP_BLOCK_TXS = 500
 
 
-def _answer_place(answer: tuple) -> int:
-    """The place of the peer that gives an (ms, arrival) answer, its sort key."""
-    return _PEER_ORDER[answer[0]]
-
-
 @dataclass(frozen=True)
 class LevelMetrics:
     tps: float
@@ -256,7 +251,7 @@ class LevelRun:
         self.config = config
         self.level = level
         self.profile = config.service_profile
-        self.rest_us = self.profile.rest_overhead_us  # the REST hop's offset, as rounded once
+        self.rest_us = round(self.profile.rest_overhead_ms * 1000)  # service times round to µs here
         self.duration_us = config.duration_seconds * 1_000_000
         self.queue = EventQueue()
         self.meter = BandwidthMeter(window_us=self.duration_us)
@@ -273,10 +268,9 @@ class LevelRun:
         self.cluster = OrderingCluster(config.batch)
 
         if config.step == "register":
-            # Service times as rounded once, like `rest_us`.
-            self.endorse_us = self.profile.endorse_us
-            self.orderer_us = self.profile.orderer_per_envelope_us
-            self.commit_per_tx_us = self.profile.commit_per_tx_us
+            self.endorse_us = round(self.profile.endorse_ms * 1000)
+            self.orderer_us = round(self.profile.orderer_per_envelope_ms * 1000)
+            self.commit_per_tx_us = round(self.profile.commit_per_tx_ms * 1000)
             self.endorse_stations = {ms: ServiceStation(self.duration_us) for ms in EU_MEMBER_STATES}
             self.orderer_station = ServiceStation(self.duration_us)
             self.commit_station = ServiceStation(self.duration_us)
@@ -451,7 +445,7 @@ class LevelRun:
                 self.errors += 1
                 arrived_at = None
             answers.append((ms, arrived_at))
-        answers.sort(key=_answer_place)  # in peer order
+        answers.sort(key=lambda answer: _PEER_ORDER[answer[0]])  # in peer order
         block_bytes = self.profile.block_base_bytes + self.profile.envelope_bytes * len(batch)
         seq_host = self.cluster.up_hosts["sequencer"][0]
         commit_service = self.commit_per_tx_us * len(batch)
@@ -532,10 +526,10 @@ class LevelRun:
             p95_ms = ordered[rank] / 1000.0
         else:
             mean_ms = p95_ms = 0.0
-        peer_kb = max(self.meter.host_kb_per_second(host) for host in PEER_HOSTS)
-        ordering_kb = sum(
-            self.meter.host_kb_per_second(host) for host in ORDERING_HOSTS
-        )
+        seconds = self.config.duration_seconds
+        peer_kb = max(self.meter.host_kb(host) / seconds for host in PEER_HOSTS)
+        # Divided per host, then summed: dividing the sum moves its last bits.
+        ordering_kb = sum(self.meter.host_kb(host) / seconds for host in ORDERING_HOSTS)
         busy = {role: max(s.busy_fraction() for s in group)
                 for role, group in self.stations.items()}
         # λ·S/c ≥ 1 at any station; every job comes from an arrival in (0, T].

@@ -198,9 +198,6 @@ class BandwidthMeter:
         groups = sum(size * hosts.count(host) for hosts, size in self._group_bytes.items())
         return (self._window_bytes.get(host, 0) + groups) / 1000.0
 
-    def host_kb_per_second(self, host: str) -> float:
-        return self.host_kb(host) / (self.window_us / 1_000_000)
-
 
 class TraceWriter:
     """Optional newline-delimited event trace for debugging and oracle checks."""
@@ -231,22 +228,9 @@ class MessageLayer:
         self.transit_us = functools.cache(functools.partial(transit_delay_us, link))
 
     def send(self, src: str, dst, size: int, kind: str, on_delivery) -> int:
-        """Send one message now to `dst`, a host or a tuple of hosts. Every
-        copy is metered and traced at both ends when sent, as `post` does; one
+        """`post` one message now to `dst`, a host or a tuple of hosts; one
         event at the delivery runs `on_delivery()`. Returns the delivery time."""
-        now = self.queue.clock
-        if isinstance(dst, str):
-            delivery = self.post(src, dst, size, kind, now)
-        else:
-            wire_size = size + self.link.tls_overhead_bytes
-            delivery = now + self.transit_us(size)
-            self.meter.on_send(src, wire_size * len(dst), now)
-            self.meter.on_receive(dst, wire_size, delivery)
-            if self.tracer is not None:
-                for _ in dst:
-                    self.tracer.record(now, f"send:{kind}", src, wire_size)
-                for host in dst:
-                    self.tracer.record(delivery, f"recv:{kind}", host, wire_size)
+        delivery = self.post(src, dst, size, kind, self.queue.clock)
         self.queue.schedule(delivery, on_delivery)
         return delivery
 
@@ -260,13 +244,21 @@ class MessageLayer:
         self.meter.on_receive(dst, wire_size, delivery, step, count)
         return delivery
 
-    def post(self, src: str, dst: str, size: int, kind: str, at: int) -> int:
-        """Meter, without event, one message sent at `at` and trace both of
-        its ends; returns its delivery time."""
+    def post(self, src: str, dst, size: int, kind: str, at: int) -> int:
+        """Meter, without event, one message sent at `at` to `dst`, a host or a
+        tuple of hosts, and trace both ends of every copy; returns its
+        delivery time."""
         wire_size = size + self.link.tls_overhead_bytes
         delivery = at + self.transit_us(size)
-        self.meter.on_message(src, dst, wire_size, at, delivery)
+        if isinstance(dst, str):
+            self.meter.on_message(src, dst, wire_size, at, delivery)
+            dst = (dst,)
+        else:
+            self.meter.on_send(src, wire_size * len(dst), at)
+            self.meter.on_receive(dst, wire_size, delivery)
         if self.tracer is not None:
-            self.tracer.record(at, f"send:{kind}", src, wire_size)
-            self.tracer.record(delivery, f"recv:{kind}", dst, wire_size)
+            for _ in dst:
+                self.tracer.record(at, f"send:{kind}", src, wire_size)
+            for host in dst:
+                self.tracer.record(delivery, f"recv:{kind}", host, wire_size)
         return delivery

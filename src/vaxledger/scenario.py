@@ -76,22 +76,6 @@ class ServiceTimeProfile:
             if f.type == "int" and value < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
 
-    @property
-    def endorse_us(self) -> int:
-        return round(self.endorse_ms * 1000)
-
-    @property
-    def commit_per_tx_us(self) -> int:
-        return round(self.commit_per_tx_ms * 1000)
-
-    @property
-    def orderer_per_envelope_us(self) -> int:
-        return round(self.orderer_per_envelope_ms * 1000)
-
-    @property
-    def rest_overhead_us(self) -> int:
-        return round(self.rest_overhead_ms * 1000)
-
 
 # Not a fixed point of `vaxledger calibrate`. Against
 # benchmarks/reference_targets.csv it has response MRE 12.4% and peer-bandwidth

@@ -8,6 +8,7 @@ scratch through `run_scenario` and compares bytes.
 
 import hashlib
 import itertools
+import math
 import random
 import statistics
 from dataclasses import replace
@@ -326,7 +327,7 @@ def test_verify_levels_match_deterministic_queue_oracle(default_sweeps):
     profile, link = config.service_profile, config.link
     fixed_us = (
         transit_delay_us(link, profile.query_bytes)
-        + profile.rest_overhead_us
+        + round(profile.rest_overhead_ms * 1000)
         + transit_delay_us(link, profile.response_bytes)
     )
     levels = reports["verify"].levels
@@ -362,13 +363,13 @@ def test_register_levels_match_closed_form_sum_of_hops(default_levels):
     def hops_us(n):
         return (
             transit_delay_us(link, profile.proposal_bytes)
-            + profile.rest_overhead_us
-            + profile.endorse_us
+            + round(profile.rest_overhead_ms * 1000)
+            + round(profile.endorse_ms * 1000)
             + 2 * transit_delay_us(link, profile.envelope_bytes)
-            + profile.orderer_per_envelope_us
+            + round(profile.orderer_per_envelope_ms * 1000)
             + config.batch.batch_timeout_us
             + transit_delay_us(link, profile.block_base_bytes + n * profile.envelope_bytes)
-            + n * profile.commit_per_tx_us
+            + n * round(profile.commit_per_tx_ms * 1000)
             + transit_delay_us(link, profile.endorsement_bytes)
         )
 
@@ -408,7 +409,8 @@ def test_verify_md1_mean_wait_matches_pollaczek_khinchine():
         service_us = round(profile.query_per_record_us * metrics.scan_count)
         rho = tps * service_us / 1_000_000
         fixed_us = (
-            transit_delay_us(config.link, profile.query_bytes) + profile.rest_overhead_us
+            transit_delay_us(config.link, profile.query_bytes)
+            + round(profile.rest_overhead_ms * 1000)
             + service_us + transit_delay_us(config.link, profile.response_bytes)
         )
         pk_wait = rho * service_us / (2 * (1 - rho))
@@ -428,6 +430,72 @@ def test_verify_md1_mean_wait_matches_pollaczek_khinchine():
     print(
         f"M/D/1 ORACLE: PASS — mean wait {deviation:+.1f} µs off Pollaczek–Khinchine "
         f"(about {pk_mean:.0f} µs), standard error {error:.1f} µs"
+    )
+
+
+def _cosmetatos_mdc_wait(lam: float, service: float, workers: int) -> float:
+    """Cosmetatos' (1976) M/D/c mean wait: half the M/M/c mean wait (Erlang C)
+    at the same mean service time, times his correction for c > 1."""
+    offered = lam * service
+    rho = offered / workers
+    terms = [1.0]  # offered^k / k!, k < workers
+    for k in range(1, workers):
+        terms.append(terms[-1] * offered / k)
+    queued = terms[-1] * offered / workers / (1 - rho)
+    mmc_wait = queued / (sum(terms) + queued) * service / (workers - offered)
+    correction = (1 - rho) * (workers - 1) * (math.sqrt(4 + 5 * workers) - 2) / (16 * rho * workers)
+    return mmc_wait / 2 * (1 + correction)
+
+
+def test_verify_mdc_mean_wait_matches_cosmetatos():
+    """M/D/c oracle under load: the default pool of 18 query workers, Poisson
+    arrivals at rate λ and scan time S at ρ = λS/18 ≈ 0.85, where waits are
+    not zero. The mean wait (response less both transits, the REST offset and
+    S), pooled over six seeds, must fall within four batch-means standard
+    errors of Cosmetatos' approximation, widened by 2% for the approximation's
+    own error: at c = 18 and ρ = 0.85 it gives 0.0816·S, and the exact mean of
+    Crommelin's embedded chain (customers present one S later are the
+    arrivals in between plus those beyond c now) gives 0.0812·S. The same
+    waits must fall outside the bands for 17 and for 19 workers, whose mean
+    waits are about twice and half as long."""
+    tps, batches, workers = 1000, 10, DEFAULT_PROFILE.query_workers
+    # A level holds about 27 + 5,000 records, so one query takes about 15.3 ms.
+    profile = replace(DEFAULT_PROFILE, query_per_record_us=3.04)
+    pools = (workers - 1, workers, workers + 1)
+    deviations, batch_means, expected = ({c: [] for c in pools} for _ in range(3))
+    for seed in range(1, 7):
+        config = default_verify_config(
+            tps_levels=(tps,), duration_seconds=5, preloaded_records=0,
+            arrival_mode="poisson", seed=seed, service_profile=profile,
+        )
+        metrics, run = run_level(config, tps)
+        service_us = round(profile.query_per_record_us * metrics.scan_count)
+        fixed_us = (
+            transit_delay_us(config.link, profile.query_bytes)
+            + round(profile.rest_overhead_ms * 1000)
+            + service_us + transit_delay_us(config.link, profile.response_bytes)
+        )
+        waits = [response - fixed_us for response in run.responses_us]  # in arrival order
+        assert min(waits) >= 0 and 0.83 < tps * service_us / 1_000_000 / workers < 0.87, seed
+        n = len(waits)
+        for c in pools:
+            wait = _cosmetatos_mdc_wait(tps / 1_000_000, service_us, c)
+            for b in range(batches):
+                batch = waits[b * n // batches : (b + 1) * n // batches]
+                batch_means[c].append(statistics.mean(batch) - wait)
+            deviations[c] += [w - wait for w in waits]
+            expected[c].append(wait)
+    deviation, band = {}, {}
+    for c in pools:
+        error = statistics.stdev(batch_means[c]) / len(batch_means[c]) ** 0.5
+        deviation[c] = statistics.mean(deviations[c])
+        band[c] = 4 * error + 0.02 * statistics.mean(expected[c])
+    assert abs(deviation[workers]) <= band[workers]
+    assert deviation[workers - 1] < -band[workers - 1] and deviation[workers + 1] > band[workers + 1]
+    print(
+        f"M/D/c ORACLE: PASS — mean wait {deviation[workers]:+.0f} µs off Cosmetatos "
+        f"(about {statistics.mean(expected[workers]):.0f} µs), band {band[workers]:.0f} µs; "
+        f"outside the bands for {workers - 1} and {workers + 1} workers"
     )
 
 

@@ -22,6 +22,7 @@ from vaxledger.calibrate import (
     CalibrationError,
     TargetRow,
     _residuals,
+    _with_param,
     calibrate,
     load_targets,
 )
@@ -1162,19 +1163,62 @@ class TestCalibration:
 
     def test_unstable_profile_is_penalized_and_unmovable_probes_skipped(self, monkeypatch):
         """One query worker saturates the fast verify levels, which draws both
-        stability penalties; a zero tunable and probes that round back to the
-        current value are skipped, so the round evaluates nothing new."""
+        stability penalties on the first evaluation. Probes below the floors,
+        one worker and a zero REST overhead, are skipped."""
         evaluated = []
 
-        def recorded(*args):
-            evaluated.append(_residuals(*args))
-            return evaluated[-1]
+        def recorded(profile, *args):
+            evaluated.append((profile, *_residuals(profile, *args)))
+            return evaluated[-1][1:]
 
         monkeypatch.setattr("vaxledger.calibrate._residuals", recorded)
         unstable = dataclasses.replace(DEFAULT_PROFILE, query_workers=1, rest_overhead_ms=0.0)
         with pytest.raises(CalibrationError) as info:
             calibrate(load_targets("benchmarks/reference_targets.csv"), unstable,
                       tunables=("query_workers", "rest_overhead_ms"), max_rounds=1)
-        (residuals, instability), = evaluated
-        assert list(info.value.residuals) == residuals
+        (first, residuals, instability), *probes = evaluated
+        assert first == unstable
         assert instability > 2.0 * 4  # verify@16, 28, 50 and 100 saturate and top the ceiling
+        assert len(probes) == 2 * 3  # each tunable's three downward probes were skipped
+        assert list(info.value.residuals) in [r for _p, r, _i in evaluated]
+        assert list(info.value.residuals) != residuals  # the round moved off one worker
+
+    def test_a_probe_that_rounds_back_moves_one_rounding_step(self, monkeypatch):
+        """From one worker and a zero REST overhead, where every probe rounds
+        back, the upward probes move one rounding step and the fit leaves both
+        floors. One round probes the workers at 2, then at 3 twice (2.2 and 2.5
+        round back to 2), and the overhead 0.01 ms at a time."""
+        register_config = default_register_config(tps_levels=(1, 28), duration_seconds=2)
+        verify_config = default_verify_config(
+            tps_levels=(1, 100), duration_seconds=2, preloaded_records=400
+        )
+        targets = [TargetRow(config.step, m.tps, m.mean_response_ms, m.peer_bandwidth_kb)
+                   for config in (register_config, verify_config)
+                   for m in run_scenario(config).levels]
+        probed = []
+
+        def recorded(profile, *args):
+            probed.append((profile.query_workers, profile.rest_overhead_ms))
+            return _residuals(profile, *args)
+
+        monkeypatch.setattr("vaxledger.calibrate._residuals", recorded)
+        start = dataclasses.replace(DEFAULT_PROFILE, query_workers=1, rest_overhead_ms=0.0)
+        result = calibrate(targets, start, register_config=register_config,
+                           verify_config=verify_config,
+                           tunables=("query_workers", "rest_overhead_ms"), max_rounds=1)
+        assert probed == [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.0), (2, 0.01), (2, 0.02), (2, 0.03)]
+        assert (result.profile.query_workers, result.profile.rest_overhead_ms) == (2, 0.03)
+
+    @pytest.mark.parametrize(
+        "name, value, factor, probed",
+        [
+            ("query_workers", 2, 0.8, 1),  # 1.6 rounds back to 2
+            ("endorse_ms", 0.01, 0.8, 0.0),  # 0.008 rounds back to 0.01
+            ("endorse_ms", 5, 1.05, 5.25),  # a float field set to an int keeps 0.01 steps
+        ],
+    )
+    def test_with_param_rounding_rule(self, name, value, factor, probed):
+        """Downward steps, which a fit from the floors never takes, and the field
+        type, not the value's, choosing the rounding."""
+        profile = dataclasses.replace(DEFAULT_PROFILE, **{name: value})
+        assert getattr(_with_param(profile, name, factor), name) == probed

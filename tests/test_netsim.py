@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -379,24 +380,37 @@ class TestSeriesBooking:
         size=st.integers(1, 20_000),
         latency=st.integers(0, 300_000),
         data=st.data(),
+        via=st.sampled_from(("send", "post")),
     )
-    def test_fan_out_matches_per_copy_metering(self, now, copies, size, latency, data):
+    def test_fan_out_matches_per_copy_metering(self, now, copies, size, latency, data, via):
+        """A fan-out, sent now or posted at `now`, meters and traces every copy
+        as if each were a message of its own."""
         link = LinkParams(latency_us=latency)
         wire, transit = size + link.tls_overhead_bytes, transit_delay_us(link, size)
         if data.draw(st.booleans()):
             # the send, or the delivery, on the window end or one off it
             lag = data.draw(st.sampled_from((0, transit)))
             now = max(0, self.WINDOW + data.draw(st.integers(-1, 1)) - lag)
-        queue, meter = EventQueue(), BandwidthMeter(window_us=self.WINDOW)
-        queue.run_until(now)
+        queue, meter, trace = EventQueue(), BandwidthMeter(window_us=self.WINDOW), io.StringIO()
+        net = MessageLayer(queue, link, meter, TraceWriter(trace))
         dsts = tuple(f"d{i}" for i in range(copies))
-        MessageLayer(queue, link, meter).send("s", dsts, size, "block", lambda: None)
-        queue.drain()
+        if via == "send":
+            queue.run_until(now)
+            assert net.send("s", dsts, size, "block", lambda: None) == now + transit
+            queue.drain()
+        else:
+            assert net.post("s", dsts, size, "block", now) == now + transit
+            assert queue.processed == 0
 
         expected = {"s": wire * copies if now < self.WINDOW else 0}
         expected.update({d: wire if now + transit < self.WINDOW else 0 for d in dsts})
         assert _window_bytes(meter, expected) == expected
         assert meter.total_sent == meter.total_received == wire * copies
+        records = [json.loads(line) for line in trace.getvalue().splitlines()]
+        assert records == (
+            [{"t": now, "event": "send:block", "host": "s", "size": wire}] * copies
+            + [{"t": now + transit, "event": "recv:block", "host": d, "size": wire} for d in dsts]
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -17,7 +17,7 @@ from .ledger import write_snapshot
 from .netsim import TraceWriter
 from .scenario import ScenarioConfig
 
-__all__ = ["MetricsReport", "run_scenario", "export_csv", "render_csv_table", "CSV_HEADER"]
+__all__ = ["MetricsReport", "run_scenario", "report_to_csv_text", "render_csv_table", "CSV_HEADER"]
 
 CSV_HEADER = "step,tps,response_time_ms,peer_bandwidth_kb,ordering_bandwidth_kb,errors,saturated"
 
@@ -69,6 +69,7 @@ def run_scenario(
 
 
 def report_to_csv_text(report: MetricsReport) -> str:
+    """One row per TPS level; fixed 1-decimal precision, diff-stable."""
     if not report.levels:
         raise ValueError("cannot export an empty report")
     out = io.StringIO()
@@ -80,13 +81,6 @@ def report_to_csv_text(report: MetricsReport) -> str:
             f"{m.error_count},{'true' if m.saturated else 'false'}\n"
         )
     return out.getvalue()
-
-
-def export_csv(report: MetricsReport, path) -> None:
-    """Write one row per TPS level; fixed 1-decimal precision, diff-stable."""
-    text = report_to_csv_text(report)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def render_csv_table(csv_text: str) -> str:

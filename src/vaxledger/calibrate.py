@@ -144,16 +144,10 @@ def _check_targets(targets) -> None:
         raise CalibrationError(f"targets missing required rows: {sorted(missing)}")
 
 
-def _residuals(profile, targets, register_config, verify_config, worlds: dict):
-    """Residuals and instability of `profile`; `worlds` keeps each step's setup world, which
-    depends on the step and seed alone, so one serves every profile of a fit."""
-    by_step = {}
-    for step, base in (("register", register_config), ("verify", verify_config)):
-        levels = tuple(sorted({t.tps for t in targets if t.step == step}))
-        config = replace(base, tps_levels=levels, service_profile=profile)
-        if step not in worlds:
-            worlds[step] = SetupWorld(config)
-        by_step[step] = run_scenario(config, setup=worlds[step])
+def _residuals(profile, targets, configs: dict, worlds: dict):
+    """Residuals and instability of `profile`, each step run at its config on its setup world."""
+    by_step = {step: run_scenario(replace(config, service_profile=profile), setup=worlds[step])
+               for step, config in configs.items()}
     residuals = []
     instability = 0.0
     for target in targets:
@@ -219,20 +213,22 @@ def calibrate(
     relative response error exceeds the response band.
     """
     _check_targets(targets)
-    register_config = register_config or default_register_config()
-    verify_config = verify_config or default_verify_config()
+    configs = {
+        step: replace(base, tps_levels=tuple(sorted({t.tps for t in targets if t.step == step})))
+        for step, base in (("register", register_config or default_register_config()),
+                           ("verify", verify_config or default_verify_config()))
+    }
+    # A setup world depends on the step and seed alone, so one serves every profile.
+    worlds = {step: SetupWorld(config) for step, config in configs.items()}
+    scores = {}  # profile -> (score, residuals), for every profile the fit simulated
 
-    evaluations = 0
-    worlds = {}  # step -> the setup world its evaluations share
-
-    def evaluate(profile):
-        nonlocal evaluations
-        evaluations += 1
-        residuals, instability = _residuals(profile, targets, register_config, verify_config, worlds)
-        return _objective(residuals) + instability, residuals
+    def evaluate(profile) -> float:
+        residuals, instability = _residuals(profile, targets, configs, worlds)
+        scores[profile] = _objective(residuals) + instability, residuals
+        return scores[profile][0]
 
     best_profile = initial
-    best_score, best_residuals = evaluate(initial)
+    evaluate(initial)
     rounds = 0
     for _ in range(max_rounds):
         rounds += 1
@@ -240,15 +236,15 @@ def calibrate(
         for name in tunables:
             for factor in _PROBES:
                 candidate = _with_param(best_profile, name, factor)
-                if getattr(candidate, name) == getattr(best_profile, name):
-                    continue
-                score, residuals = evaluate(candidate)
-                if score < best_score - 1e-9:
-                    best_profile, best_score, best_residuals = candidate, score, residuals
+                if candidate in scores:
+                    continue  # the current profile, or one that lost to a best score, which only falls
+                if evaluate(candidate) < scores[best_profile][0] - 1e-9:
+                    best_profile = candidate
                     improved = True
         if not improved:
             break
 
+    best_residuals = scores[best_profile][1]
     response_mre = _mre(best_residuals, "response")
     if response_mre > RESPONSE_BAND:
         raise CalibrationError(
@@ -262,7 +258,7 @@ def calibrate(
         response_mre=response_mre,
         bandwidth_mre=_mre(best_residuals, "peer_bandwidth"),
         rounds=rounds,
-        evaluations=evaluations,
+        evaluations=len(scores),
     )
 
 

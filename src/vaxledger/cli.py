@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import click
 
 from . import credential as cred
-from .bench import export_csv, render_csv_table, report_to_csv_text, run_scenario
+from .bench import render_csv_table, report_to_csv_text, run_scenario
 from .calibrate import CalibrationError, calibrate, format_residuals, load_targets
 from .chaincode import ChaincodeContext, verify_certificate
 from .engine import LevelRun
@@ -220,7 +220,7 @@ def verify(credential_file, ms, now, unanchored):
     found = verify_certificate(ChaincodeContext(caller=ms, state=run.state), anchor).found
     click.echo(f"verifying anchor {anchor.hex} via {ms}")
     _echo_timeline(
-        marks, _VERIFY_LABELS, found="found" if found else "not found", scanned=run.scan_count()
+        marks, _VERIFY_LABELS, found="found" if found else "not found", scanned=run.scan_count
     )
     if "issuer_public_key" in doc:
         issuer_keys = {
@@ -253,7 +253,8 @@ def simulate(config_path, seed, trace_path, out_path, snapshot_path):
     csv_text = report_to_csv_text(report)
     click.echo(render_csv_table(csv_text), nl=False)
     if out_path:
-        export_csv(report, out_path)
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text)
         click.echo(f"report written to {out_path}")
 
 

@@ -292,7 +292,7 @@ class LevelRun:
         self._broker_rr = 0
         # Ids of transactions made after `preload`, tagged with the level, which setup ids never are.
         self._next_tx_id = _tx_ids(config.step, level, config.seed).__next__
-        self._scan_memo: tuple | None = None  # (records one query scans, its service µs)
+        self.scan_count = 0  # records the level's one query scans, once the first verify runs it
         self._pending_acks: dict = {}
 
     # ------------------------------------------------------------------
@@ -469,29 +469,24 @@ class LevelRun:
     # ------------------------------------------------------------------
     # verify flow
 
-    def scan_count(self) -> int:
-        """Records one verification reads: the entries `rich_query` scans for
-        the newest provisioned record. The query runs once per level."""
-        if self._scan_memo is None:
-            cert_hex = self.provisioned[-1].write_set[0][1]["cert_hash"]
-            matches, scanned = rich_query(self.state, {"doc_type": "cert", "cert_hash": cert_hex})
-            if not matches:
-                raise RuntimeError("provisioned verification target missing from state")
-            self._scan_memo = scanned, round(self.profile.query_per_record_us * scanned)
-        return self._scan_memo[0]
-
     def start_verify(self, ms: str, arrived_at: int) -> None:
         """Client at `ms` queries its peer; the request arrived at `arrived_at`.
-        It books its hops and its query job and reads no state: found or not
-        is the contract's answer. Every query enters the pool after one offset,
-        so requests started in arrival order are served FIFO."""
+        It books its hops and its query job, priced by the level's one query for
+        the newest provisioned record, which the first call runs: found or not is
+        the contract's answer. Every query enters the pool after one offset, so
+        requests started in arrival order are served FIFO."""
         self.started += 1
         delivery = self.net.post(
             _CLIENT[ms], _PEER[ms], self.profile.query_bytes, "query", arrived_at
         )
-        if self._scan_memo is None:
-            self.scan_count()  # the level's one query, which also fixes its service time
-        finish = self.query_station.enqueue(delivery + self.rest_us, self._scan_memo[1])
+        if not self.scan_count:
+            cert_hex = self.provisioned[-1].write_set[0][1]["cert_hash"]
+            query = {"doc_type": "cert", "cert_hash": cert_hex}
+            matches, self.scan_count = rich_query(self.state, query)
+            if not matches:
+                raise RuntimeError("provisioned verification target missing from state")
+            self._query_us = round(self.profile.query_per_record_us * self.scan_count)
+        finish = self.query_station.enqueue(delivery + self.rest_us, self._query_us)
         self._respond(ms, self.profile.response_bytes, arrived_at, finish)
 
     # ------------------------------------------------------------------
@@ -547,7 +542,7 @@ class LevelRun:
             saturated=saturated,
             accepted_submissions=self.accepted,
             committed_txs=self.committed,
-            scan_count=self._scan_memo[0] if self._scan_memo else 0,
+            scan_count=self.scan_count,
             processed_events=self.queue.processed,
         )
 

@@ -80,7 +80,7 @@ class ServiceTimeProfile:
 # Not a fixed point of `vaxledger calibrate`. Against
 # benchmarks/reference_targets.csv it has response MRE 12.4% and peer-bandwidth
 # MRE 24.8%, with register@28 and verify@28 at 23.9% and 23.8%, inside the
-# calibrator's 3-point soft margin. One round from it (49 evaluations) moves six
+# calibrator's 3-point soft margin. One round from it (48 evaluations) moves six
 # of the eight tunables, among them envelope_bytes 7000 -> 10106, gossip_bytes
 # 12740 -> 18394 and orderer_per_envelope_ms 2.8 -> 1.92, to MREs of 12.6% and 5.4%.
 DEFAULT_PROFILE = ServiceTimeProfile()

@@ -391,6 +391,35 @@ def test_register_levels_match_closed_form_sum_of_hops(default_levels):
     )
 
 
+def test_register_stations_busy_at_offered_load():
+    """Utilization oracle under load: on Poisson register levels each station
+    is busy λ·S/c of the window, to within 4/√(λT) of it, relative, four times
+    the relative spread of the arrival count. The orderer serves one envelope
+    and the commit station one commit per request. Each of the 27 endorse
+    stations serves every 27th request, so the busiest may hold one more job."""
+    seconds, worst = 20, 0.0
+    service_us = {
+        "orderer": round(DEFAULT_PROFILE.orderer_per_envelope_ms * 1000),
+        "commit": round(DEFAULT_PROFILE.commit_per_tx_ms * 1000),
+        "endorse": round(DEFAULT_PROFILE.endorse_ms * 1000),
+    }
+    for tps, seed in itertools.product((16, 28), (1, 2, 3)):
+        config = default_register_config(
+            tps_levels=(tps,), duration_seconds=seconds, arrival_mode="poisson", seed=seed,
+        )
+        metrics, _run = run_level(config, tps)
+        assert metrics.error_count == 0 and not metrics.saturated, (tps, seed)
+        tolerance = 4 / math.sqrt(tps * seconds)
+        for station, us in service_us.items():
+            share = 1 / len(EU_MEMBER_STATES) if station == "endorse" else 1
+            expected = tps * share * us / 1_000_000
+            slack = us / (seconds * 1_000_000) if station == "endorse" else 0.0
+            deviation = abs(metrics.busy_fractions[station] - expected)
+            assert deviation <= tolerance * expected + slack, (tps, seed, station)
+            worst = max(worst, deviation / expected)
+    print(f"UTILIZATION ORACLE: PASS — register stations within {worst:.1%} of λ·S/c")
+
+
 def test_verify_md1_mean_wait_matches_pollaczek_khinchine():
     """M/D/1 oracle: with one query worker, Poisson arrivals at rate λ and
     scan time S, the mean wait in the query pool (response less both
@@ -450,14 +479,15 @@ def _cosmetatos_mdc_wait(lam: float, service: float, workers: int) -> float:
 def test_verify_mdc_mean_wait_matches_cosmetatos():
     """M/D/c oracle under load: the default pool of 18 query workers, Poisson
     arrivals at rate λ and scan time S at ρ = λS/18 ≈ 0.85, where waits are
-    not zero. The mean wait (response less both transits, the REST offset and
-    S), pooled over six seeds, must fall within four batch-means standard
-    errors of Cosmetatos' approximation, widened by 2% for the approximation's
-    own error: at c = 18 and ρ = 0.85 it gives 0.0816·S, and the exact mean of
-    Crommelin's embedded chain (customers present one S later are the
-    arrivals in between plus those beyond c now) gives 0.0812·S. The same
-    waits must fall outside the bands for 17 and for 19 workers, whose mean
-    waits are about twice and half as long."""
+    not zero. The pool must be busy λS/18 of the window, to within 4/√(λT)
+    of it, relative. The mean wait (response less both transits, the REST
+    offset and S), pooled over six seeds, must fall within four batch-means
+    standard errors of Cosmetatos' approximation, widened by 2% for the
+    approximation's own error: at c = 18 and ρ = 0.85 it gives 0.0816·S, and
+    the exact mean of Crommelin's embedded chain (customers present one S
+    later are the arrivals in between plus those beyond c now) gives
+    0.0812·S. The same waits must fall outside the bands for 17 and for 19
+    workers, whose mean waits are about twice and half as long."""
     tps, batches, workers = 1000, 10, DEFAULT_PROFILE.query_workers
     # A level holds about 27 + 5,000 records, so one query takes about 15.3 ms.
     profile = replace(DEFAULT_PROFILE, query_per_record_us=3.04)
@@ -476,7 +506,10 @@ def test_verify_mdc_mean_wait_matches_cosmetatos():
             + service_us + transit_delay_us(config.link, profile.response_bytes)
         )
         waits = [response - fixed_us for response in run.responses_us]  # in arrival order
-        assert min(waits) >= 0 and 0.83 < tps * service_us / 1_000_000 / workers < 0.87, seed
+        utilization = tps * service_us / 1_000_000 / workers
+        assert min(waits) >= 0 and 0.83 < utilization < 0.87, seed
+        busy_deviation = abs(metrics.busy_fractions["query"] / utilization - 1)
+        assert busy_deviation <= 4 / math.sqrt(tps * config.duration_seconds), seed
         n = len(waits)
         for c in pools:
             wait = _cosmetatos_mdc_wait(tps / 1_000_000, service_us, c)

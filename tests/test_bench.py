@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from vaxledger.bench import (
     CSV_HEADER,
-    export_csv,
     render_csv_table,
     report_to_csv_text,
     run_scenario,
@@ -178,21 +177,11 @@ class TestReportCsv:
         float(cells[2])  # 1-decimal numbers parse
         assert cells[6] in ("true", "false")
 
-    def test_reexport_identical(self, small_register_report, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_csv(small_register_report, p1)
-        export_csv(small_register_report, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_empty_report_rejected(self):
         from vaxledger.bench import MetricsReport
 
         with pytest.raises(ValueError):
             report_to_csv_text(MetricsReport(step="register", levels=()))
-
-    def test_unwritable_path(self, small_register_report, tmp_path):
-        with pytest.raises(IOError):
-            export_csv(small_register_report, tmp_path / "no" / "such" / "dir.csv")
 
     def test_render_table(self, small_register_report):
         table = render_csv_table(report_to_csv_text(small_register_report))
@@ -515,7 +504,7 @@ class TestSetupWorld:
         run.preload()
         run.chain, run.state = run.setup.fork(len(run.provisioned) - 1)
         with pytest.raises(RuntimeError, match="missing from state"):
-            run.scan_count()
+            run.start_verify("DE", 0)
 
     @pytest.mark.parametrize(
         "level_config, world_config",
@@ -1057,13 +1046,14 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate(rows, DEFAULT_PROFILE)
 
-    def test_shared_worlds_give_the_residuals_of_fresh_ones(self, monkeypatch):
-        """Evaluations build one setup world per step and share it across every
-        profile, the one with another envelope size included."""
-        register_config = default_register_config(tps_levels=(1,), duration_seconds=2)
-        verify_config = default_verify_config(
-            tps_levels=(1, 8), duration_seconds=2, preloaded_records=600
-        )
+    def test_shared_worlds_give_the_residuals_of_fresh_ones(self):
+        """One setup world per step, shared across every profile, the one with
+        another envelope size included, gives the residuals of new worlds."""
+        configs = {
+            "register": default_register_config(tps_levels=(1,), duration_seconds=2),
+            "verify": default_verify_config(tps_levels=(1, 8), duration_seconds=2,
+                                            preloaded_records=600),
+        }
         targets = [TargetRow(step, tps, 90.0, 400.0)
                    for step, tps in (("register", 1.0), ("verify", 1.0), ("verify", 8.0))]
         profiles = [
@@ -1072,19 +1062,13 @@ class TestCalibration:
             dataclasses.replace(DEFAULT_PROFILE, envelope_bytes=8000),
             DEFAULT_PROFILE,
         ]
-        fresh = [_residuals(p, targets, register_config, verify_config, {}) for p in profiles]
-        built = []
 
-        class CountedWorld(SetupWorld):
-            def __init__(self, config):
-                built.append(config.step)
-                super().__init__(config)
+        def new_worlds():
+            return {step: SetupWorld(config) for step, config in configs.items()}
 
-        monkeypatch.setattr("vaxledger.calibrate.SetupWorld", CountedWorld)
-        worlds = {}
-        shared = [_residuals(p, targets, register_config, verify_config, worlds) for p in profiles]
-        assert shared == fresh
-        assert built == ["register", "verify"]
+        fresh = [_residuals(p, targets, configs, new_worlds()) for p in profiles]
+        worlds = new_worlds()
+        assert [_residuals(p, targets, configs, worlds) for p in profiles] == fresh
 
     def test_a_fit_builds_one_world_per_step(self, monkeypatch):
         """A fit that probes the envelope size still builds each step's setup
@@ -1183,18 +1167,25 @@ class TestCalibration:
         assert list(info.value.residuals) in [r for _p, r, _i in evaluated]
         assert list(info.value.residuals) != residuals  # the round moved off one worker
 
-    def test_a_probe_that_rounds_back_moves_one_rounding_step(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def short_fit(self):
+        """Short register and verify configs, and targets from their runs at the default profile."""
+        configs = {
+            "register_config": default_register_config(tps_levels=(1, 28), duration_seconds=2),
+            "verify_config": default_verify_config(
+                tps_levels=(1, 100), duration_seconds=2, preloaded_records=400
+            ),
+        }
+        targets = [TargetRow(config.step, m.tps, m.mean_response_ms, m.peer_bandwidth_kb)
+                   for config in configs.values() for m in run_scenario(config).levels]
+        return targets, configs
+
+    def test_a_probe_that_rounds_back_moves_one_rounding_step(self, monkeypatch, short_fit):
         """From one worker and a zero REST overhead, where every probe rounds
         back, the upward probes move one rounding step and the fit leaves both
-        floors. One round probes the workers at 2, then at 3 twice (2.2 and 2.5
-        round back to 2), and the overhead 0.01 ms at a time."""
-        register_config = default_register_config(tps_levels=(1, 28), duration_seconds=2)
-        verify_config = default_verify_config(
-            tps_levels=(1, 100), duration_seconds=2, preloaded_records=400
-        )
-        targets = [TargetRow(config.step, m.tps, m.mean_response_ms, m.peer_bandwidth_kb)
-                   for config in (register_config, verify_config)
-                   for m in run_scenario(config).levels]
+        floors. One round probes the workers at 2, then at 3 once (2.2 and 2.5
+        both round back to 2), and the overhead 0.01 ms at a time."""
+        targets, configs = short_fit
         probed = []
 
         def recorded(profile, *args):
@@ -1203,11 +1194,29 @@ class TestCalibration:
 
         monkeypatch.setattr("vaxledger.calibrate._residuals", recorded)
         start = dataclasses.replace(DEFAULT_PROFILE, query_workers=1, rest_overhead_ms=0.0)
-        result = calibrate(targets, start, register_config=register_config,
-                           verify_config=verify_config,
-                           tunables=("query_workers", "rest_overhead_ms"), max_rounds=1)
-        assert probed == [(1, 0.0), (2, 0.0), (3, 0.0), (3, 0.0), (2, 0.01), (2, 0.02), (2, 0.03)]
+        result = calibrate(targets, start, tunables=("query_workers", "rest_overhead_ms"),
+                           max_rounds=1, **configs)
+        assert probed == [(1, 0.0), (2, 0.0), (3, 0.0), (2, 0.01), (2, 0.02), (2, 0.03)]
         assert (result.profile.query_workers, result.profile.rest_overhead_ms) == (2, 0.03)
+
+    def test_a_fit_simulates_each_profile_once(self, monkeypatch, short_fit):
+        """From two workers each worker probe rounds back to 2 and steps, so the
+        three downward probes all give one and the three upward ones three. Each
+        is simulated once, and the evaluation count is the profiles simulated."""
+        targets, configs = short_fit
+        simulated = []
+
+        def recorded(profile, *args):
+            simulated.append(profile)
+            return _residuals(profile, *args)
+
+        monkeypatch.setattr("vaxledger.calibrate._residuals", recorded)
+        start = dataclasses.replace(DEFAULT_PROFILE, query_workers=2)
+        result = calibrate(targets, start, tunables=("query_workers", "rest_overhead_ms"),
+                           max_rounds=1, **configs)
+        repeated = [p.query_workers for p in simulated if simulated.count(p) > 1]
+        assert repeated == []
+        assert result.evaluations == len(simulated)
 
     @pytest.mark.parametrize(
         "name, value, factor, probed",

@@ -165,6 +165,18 @@ class TestSimulate:
         assert lines[0].startswith("step,tps,")
         assert lines[1].startswith("register,1,")
 
+    def test_simulate_out_into_missing_directory_exits_3(self, tmp_path, runner):
+        config = default_register_config(tps_levels=(1,), duration_seconds=1)
+        config_path = tmp_path / "scenario.json"
+        config_path.write_text(json.dumps(dataclasses.asdict(config)))
+        out_path = tmp_path / "no" / "such" / "dir.csv"
+        result = runner.invoke(
+            main, ["simulate", "--config", str(config_path), "--out", str(out_path)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith("i/o error:")
+        assert not out_path.parent.exists()
+
     def test_simulate_seed_override_and_trace(self, tmp_path, runner):
         config = default_register_config(tps_levels=(1,), duration_seconds=2)
         config_path = tmp_path / "scenario.json"

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from vaxledger.cli import main as cli_main
+
 _SPEC = importlib.util.spec_from_file_location(
     "outputs", Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
 )
@@ -39,3 +41,8 @@ def test_a_changed_or_missing_output_exits_one(monkeypatch, capsys):
     differing = [line.split()[1] for line in out.splitlines() if line.endswith("DIFFERS")]
     assert differing == ["cred.json", "verify.csv", "round.json"]
     assert "3 of 4 outputs differ" in out
+
+
+def test_every_subcommand_runs():
+    """A subcommand missing from RUNS would leave its outputs uncompared."""
+    assert set(cli_main.commands) - {args[0] for _name, args in outputs.RUNS} == set()

@@ -10,7 +10,7 @@ checkout's ``benchmarks/reference_targets.csv``. Each command's exit code and
 stdout are one output, and each file in the directory after the last command
 is another. The script prints both sides' SHA-256 of each output and exits 1
 iff any pair differs, an output that one side lacks included. The two
-``calibrate`` runs take most of its time: both sides together take about two
+``calibrate`` runs take most of its time: both sides together take about three
 minutes on a 2-core machine. It imports nothing from either checkout.
 """
 
@@ -36,7 +36,7 @@ CONFIGS = {
 }
 TARGETS = "targets.csv"
 
-# (output name, CLI arguments), run in this order in one directory.
+# (output name, CLI arguments), run in this order in one directory; every subcommand runs.
 RUNS = (
     ("issue", ["issue", "--out", "cred.json"]),
     ("hash", ["hash", "cred.json"]),
@@ -46,9 +46,10 @@ RUNS = (
     ("verify --ms FR", ["verify", "cred.json", "--ms", "FR"]),
     ("verify --unanchored", ["verify", "cred.json", "--unanchored"]),
     ("simulate register", ["simulate", "--config", "register.json", "--out", "register.csv",
-                           "--snapshot", "register.ndjson"]),
+                           "--snapshot", "register.ndjson", "--trace", "register-trace.ndjson"]),
     ("simulate verify", ["simulate", "--config", "verify.json", "--out", "verify.csv",
-                         "--snapshot", "verify.ndjson"]),
+                         "--snapshot", "verify.ndjson", "--trace", "verify-trace.ndjson"]),
+    ("report register.csv", ["report", "register.csv"]),
     ("calibrate --max-rounds 1", ["calibrate", "--targets", TARGETS, "--max-rounds", "1",
                                   "--out", "round.json"]),
     ("calibrate", ["calibrate", "--targets", TARGETS, "--out", "fit.json"]),

@@ -39,18 +39,15 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG_ERROR)
         except CalibrationError as exc:
             click.echo(f"calibration failure: {exc}", err=True)
             if exc.residuals:
                 click.echo(format_residuals(exc.residuals), err=True)
             sys.exit(EXIT_CALIBRATION_FAILURE)
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(EXIT_IO_ERROR)
-        except (cred.CredentialError, ValueError) as exc:
+        except (ConfigError, cred.CredentialError, ValueError) as exc:  # a JSONDecodeError too
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG_ERROR)
 
@@ -126,8 +123,7 @@ def _echo_timeline(marks, labels, **facts) -> int:
 @_handle_errors
 def issue(issuer_ms, subject, product, dose, total_doses, batch_id, issued_at, validity_days, seed, out_path):
     """Issue a signed credential fixture file."""
-    if issuer_ms not in EU_MEMBER_STATES:
-        raise ConfigError(f"unknown member state: {issuer_ms}")
+    _member_state(issuer_ms)
     issuer_did = cred.generate_did("center", f"center|{issuer_ms}|{seed}".encode())
     issuer_key = cred.generate_keypair(issuer_did, f"issuer|{issuer_ms}|{seed}".encode())
     subject_did = cred.generate_did("citizen", f"{subject}|{seed}".encode())
@@ -156,6 +152,12 @@ def issue(issuer_ms, subject, product, dose, total_doses, batch_id, issued_at, v
     click.echo(f"written to {out_path}")
 
 
+def _member_state(code: str) -> str:
+    if code not in EU_MEMBER_STATES:
+        raise ConfigError(f"unknown member state: {code}")
+    return code
+
+
 def _load_fixture(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -163,6 +165,14 @@ def _load_fixture(path):
     if not isinstance(doc.get("issuer_public_key", ""), str):
         raise ConfigError("issuer_public_key must be a hex string")
     return credential, doc
+
+
+def _load_anchor(path, ms):
+    """The fixture's credential and document, the member state to run at
+    (`ms`, else the fixture's `issuer_ms`, else DE) and the anchor digest."""
+    credential, doc = _load_fixture(path)
+    ms = _member_state(ms or doc.get("issuer_ms") or "DE")
+    return credential, doc, ms, cred.hash_credential(credential)
 
 
 @main.command(name="hash")
@@ -180,13 +190,9 @@ def hash_cmd(credential_file):
 @_handle_errors
 def register(credential_file, ms):
     """Run one registration end to end on a fresh simulator, with timeline."""
-    credential, doc = _load_fixture(credential_file)
-    ms = ms or doc.get("issuer_ms") or "DE"
-    if ms not in EU_MEMBER_STATES:
-        raise ConfigError(f"unknown member state: {ms}")
-    anchor = cred.hash_credential(credential)
-    config = default_register_config()
-    run, marks = _run_one_request(config, lambda run: run.start_register(anchor, ms, 0))
+    _credential, _doc, ms, anchor = _load_anchor(credential_file, ms)
+    run, marks = _run_one_request(default_register_config(),
+                                  lambda run: run.start_register(anchor, ms, 0))
     block = run.chain.blocks[-1]
     click.echo(f"registering anchor {anchor.hex} via {ms}")
     done_at = _echo_timeline(
@@ -205,11 +211,7 @@ def register(credential_file, ms):
 @_handle_errors
 def verify(credential_file, ms, now, unanchored):
     """Verify a credential end to end on a fresh simulator, with timeline."""
-    credential, doc = _load_fixture(credential_file)
-    ms = ms or doc.get("issuer_ms") or "DE"
-    if ms not in EU_MEMBER_STATES:
-        raise ConfigError(f"unknown member state: {ms}")
-    anchor = cred.hash_credential(credential)
+    credential, doc, ms, anchor = _load_anchor(credential_file, ms)
 
     def start(run):
         if not unanchored:

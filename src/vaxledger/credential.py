@@ -260,39 +260,27 @@ class VaccinationCredential:
             raise InvalidCredentialError("expiration_date must be after issuance_date")
 
 
-def _lp(value: bytes) -> bytes:
-    return struct.pack(">I", len(value)) + value
+_U32 = struct.Struct(">I").pack
 
 
-def _lp_str(value: str) -> bytes:
-    return _lp(value.encode("utf-8"))
-
-
-def _lp_int(value: int) -> bytes:
-    return _lp(str(value).encode("ascii"))
+def _lp(*values) -> bytes:
+    """Each value length-prefixed: bytes as they are, text as UTF-8, an integer in decimal."""
+    parts = []
+    for value in values:
+        value = value if isinstance(value, bytes) else str(value).encode()
+        parts += _U32(len(value)), value
+    return b"".join(parts)
 
 
 def canonicalize(credential: VaccinationCredential) -> bytes:
     """Canonical byte form of the credential body, proof excluded."""
-    return b"".join(
-        (
-            _lp_str(credential.context),
-            _lp_str(credential.issuer.text),
-            _lp_str(credential.subject.text),
-            _lp_str(credential.vaccine_product),
-            _lp_int(credential.dose_number),
-            _lp_int(credential.total_doses),
-            _lp_str(credential.batch_id),
-            _lp_int(credential.issuance_date),
-            _lp_int(credential.expiration_date),
-        )
-    )
+    return _lp(credential.context, credential.issuer.text, credential.subject.text,
+               credential.vaccine_product, credential.dose_number, credential.total_doses,
+               credential.batch_id, credential.issuance_date, credential.expiration_date)
 
 
 def _canonical_proof(proof: Proof) -> bytes:
-    return b"".join(
-        (_lp_str(proof.scheme_id), _lp_str(proof.verification_method.text), _lp(proof.signature))
-    )
+    return _lp(proof.scheme_id, proof.verification_method.text, proof.signature)
 
 
 def issue_credential(
@@ -306,13 +294,12 @@ def issue_credential(
     batch_id: str,
     issuance_date: int,
     validity_seconds: int,
-    context: str = DEFAULT_CONTEXT,
 ) -> VaccinationCredential:
     """Build and sign a credential; expiration = issuance + validity_seconds."""
     if validity_seconds <= 0:
         raise ValueError("validity_seconds must be positive")
     body = VaccinationCredential(
-        context=context,
+        context=DEFAULT_CONTEXT,
         issuer=issuer,
         subject=subject,
         vaccine_product=vaccine_product,

@@ -7,8 +7,11 @@ signature from its own submitting member state, nothing else), a namespace
 check (each member state may write only under its own ``<code>/`` prefix), and
 an MVCC read-version check.
 
-Records are read-only `dict`s, so an encoding stays valid; hashing and validation
-read a transaction's signing payload from the transaction alone, never from a caller.
+A certificate record is `{doc_type, cert_hash, ms, issuer_did}` and a center
+record `{doc_type, center_id, ms, name, address, issuer_did}`: the values their
+chaincode calls write, nothing else. Records are read-only `dict`s, so an
+encoding stays valid; hashing and validation read a transaction's signing
+payload from the transaction alone, never from a caller.
 
 Commit is single-writer; any number of readers may query committed state
 concurrently.
@@ -23,7 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .credential import DIGEST_SIZE, _lp, sign_payload, verify_payload
+from .credential import DIGEST_SIZE, sign_payload, verify_payload
 
 __all__ = [
     "EU_MEMBER_STATES",
@@ -108,13 +111,8 @@ class _Record(dict):
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
 
-_NO_METADATA = _Record()  # every cert record's `metadata`
-
-
 def make_cert_record(cert_hex: str, ms: str, issuer_did: str) -> dict:
-    # `registered_at` and `metadata` stay in the schema, always empty; nothing writes them.
-    return _Record(doc_type="cert", cert_hash=cert_hex, ms=ms, issuer_did=issuer_did,
-                   registered_at=None, metadata=_NO_METADATA)
+    return _Record(doc_type="cert", cert_hash=cert_hex, ms=ms, issuer_did=issuer_did)
 
 
 def make_center_record(center_id: str, ms: str, name: str, address: str, issuer_did: str) -> dict:
@@ -370,8 +368,8 @@ class WorldState:
         """Order-sensitive digest of the full state, for replay comparisons."""
         h = hashlib.sha256()
         for key, entry in self._entries.items():
-            h.update(_lp(key.encode()))
-            h.update(_lp("".join(_JSON(entry.value, 0)).encode()))
+            key, value = key.encode(), "".join(_JSON(entry.value, 0)).encode()
+            h.update(_U32(len(key)) + key + _U32(len(value)) + value)
             h.update(struct.pack(">II", *entry.version))
         return h.digest()
 

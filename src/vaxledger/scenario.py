@@ -152,19 +152,12 @@ class ScenarioConfig:
 
 
 def default_register_config(**overrides) -> ScenarioConfig:
-    base = dict(step="register", tps_levels=REGISTER_TPS_LEVELS)
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{"step": "register", "tps_levels": REGISTER_TPS_LEVELS, **overrides})
 
 
 def default_verify_config(**overrides) -> ScenarioConfig:
-    base = dict(
-        step="verify",
-        tps_levels=VERIFY_TPS_LEVELS,
-        preloaded_records=4700,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{"step": "verify", "tps_levels": VERIFY_TPS_LEVELS,
+                             "preloaded_records": 4700, **overrides})
 
 
 def _build_strict(cls, doc: dict, context: str):
@@ -200,9 +193,5 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario config {path}: {exc}") from exc
-    return config_from_dict(doc)
+    with open(path, "r", encoding="utf-8") as fh:
+        return config_from_dict(json.load(fh))

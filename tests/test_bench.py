@@ -153,7 +153,7 @@ class TestConfigSchema:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dataclasses.asdict(default_register_config(duration_seconds=5))))
         assert load_config(path).duration_seconds == 5
-        with pytest.raises(ConfigError):
+        with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "missing.json")
 
     def test_default_level_sets_match_reference_table(self):

@@ -82,16 +82,17 @@ class TestIssueAndHash:
             {**GOLDEN, "issuer": "did:center:a b"},
             {**GOLDEN, "proof": {**GOLDEN["proof"], "signature": "zz"}},
             {**GOLDEN, "issuer_public_key": 5},
+            '{"format": "vaxledger-credential/1",',  # text, not a JSON document
         ],
         ids=[
             "missing-field", "not-an-object", "context-not-text", "product-not-text",
             "fractional-date", "boolean-doses", "text-dose", "malformed-did", "non-hex-signature",
-            "public-key-not-text",
+            "public-key-not-text", "not-json",
         ],
     )
     def test_malformed_fixture_config_error(self, tmp_path, runner, command, doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         result = runner.invoke(main, [command, str(path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -202,11 +203,12 @@ class TestSimulate:
             {"step": "verify", "query_mode": "exact_lookup"},
             {"step": "verify", "verify_target": "spread"},
             {"tps_levels": [1], "duration_seconds": 1, "preloaded_records": 10.5},
+            '{"step": "register",',  # text, not a JSON document
         ],
     )
     def test_rejected_config_exits_before_simulating(self, tmp_path, runner, doc):
         config_path = tmp_path / "bad.json"
-        config_path.write_text(json.dumps(doc))
+        config_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         result = runner.invoke(main, ["simulate", "--config", str(config_path)])
         assert result.exit_code == 1
         assert "config error:" in result.output
@@ -215,7 +217,8 @@ class TestSimulate:
 
     def test_missing_config_io_error(self, runner):
         result = runner.invoke(main, ["simulate", "--config", "missing.json"])
-        assert result.exit_code == 1  # unreadable config is a config error
+        assert result.exit_code == 3
+        assert result.stderr.startswith("i/o error: ")
 
 
 class TestCalibrateAndReport:

@@ -61,8 +61,8 @@ GOLDEN_TX_ENCODINGS = {
         "5ce12c991f17cfc01275a219c57048841def82b040f2f81e901f927e18695ec9",
     ),
     "cert": (
-        "091e04fc8e97c6c2b3224ac768590980429c957e46d0140b618d112d1c86e240",
-        "cfba75529c35e0c5b24c230af5b47b13f2dc8c32193a8d6df9c0f09c0d7b1b14",
+        "28d3d7579b00b7beee7a0473c730f6cf1ce5025a3620c27777a76aa3ebab16e7",
+        "970ea2a0037b031490a9480d1d67b5eebe7166dfc16f51c21b323aebd33a226d",
     ),
 }
 

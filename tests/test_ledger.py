@@ -267,19 +267,27 @@ class TestApplyBlock:
         assert replayed.digest() == live.digest()
 
 
-def test_cert_records_share_one_empty_metadata(default_levels):
-    """Every cert record holds one shared `metadata` dict, a read-only record
-    as the cert record is, and no default verify level writes it."""
-    first, second = make_cert_record("aa", "DE", "did:a"), make_cert_record("bb", "FR", "did:b")
-    metadata = first["metadata"]
-    assert second["metadata"] is metadata
+# The keys each chaincode call writes: `register_certificate` and `register_medical_center`.
+RECORD_KEYS = {
+    "cert": {"doc_type", "cert_hash", "ms", "issuer_did"},
+    "center": {"doc_type", "center_id", "ms", "name", "address", "issuer_did"},
+}
+
+
+def test_records_hold_only_what_the_chaincode_writes(default_levels):
+    """Every record of the largest default verify level, its setup world's
+    included, holds exactly the keys its chaincode call writes, each a
+    non-empty text that agrees with the record's state key."""
     _config, _setup, runs = default_levels["verify"]
-    for _metrics, run in runs:
-        certs = [e.value for _key, e in run.state.items_in_order() if e.value["doc_type"] == "cert"]
-        assert all(value["metadata"] is metadata for value in certs)
-    assert isinstance(metadata, dict) and type(metadata) is type(first) and metadata == {}
-    with pytest.raises(TypeError):
-        metadata["note"] = "x"
+    kinds = {"cert": 0, "center": 0}
+    for key, entry in runs[-1][1].state.items_in_order():
+        value = entry.value
+        ms, kind, ident = key.split("/")
+        assert value["doc_type"] == kind and set(value) == RECORD_KEYS[kind]
+        assert all(v.__class__ is str and v for v in value.values())
+        assert value["ms"] == ms and value["cert_hash" if kind == "cert" else "center_id"] == ident
+        kinds[kind] += 1
+    assert kinds["center"] == len(EU_MEMBER_STATES) and kinds["cert"] > 4700
 
 
 def _plain(record: dict) -> dict:
@@ -288,14 +296,13 @@ def _plain(record: dict) -> dict:
 
 
 class TestReadOnlyRecords:
-    """A record that `make_cert_record` or `make_center_record` returns, and
-    the empty metadata that every cert record shares, refuse every change, and
-    encode, digest, export and match as the equal plain dict does."""
+    """A record that `make_cert_record` or `make_center_record` returns refuses
+    every change, and encodes, digests, exports and matches as the equal plain
+    dict does."""
 
     RECORDS = {
         "cert": lambda: make_cert_record("ab" * 32, "DE", "did:ex:de"),
         "center": lambda: make_center_record("de-national-1", "DE", "DE Center", "1 Way", "did:ex:de"),
-        "metadata": lambda: make_cert_record("cd" * 32, "FR", "did:ex:fr")["metadata"],
     }
     MUTATIONS = {
         "setitem": lambda r: r.__setitem__("ms", "FR"),

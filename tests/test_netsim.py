@@ -818,28 +818,28 @@ class TestFlowEquivalence:
     request is served, answered or metered, or to how ties order, shows here."""
 
     PINNED = {
-        "register@1": "62cd982564566a264c5d75524f84477ede0fc8ad3fbd7e6a703cb2fec6f2bec6",
-        "register@2": "039000cdf83b0609d269083c745ce2c8246a592c6dce9ef420330838272829f0",
-        "register@4": "00fb6ce14c38793f22b83e2645c005be05879a5e6fb08682131003fa9b17dbb3",
-        "register@8": "13b3b842c90800c7c95061621a884a1336a8c8e3493ed08676b8a3e9e0db8578",
-        "register@16": "d2b014d58a80d61cf9ac2ba1277b5c147f8ac6486f7ae434a9b5f8fb99e829bf",
-        "register@28": "fd21dc7836b2bd5b58b5135a10a2956378412519e555be9e8f01575bf468a702",
-        "verify@1": "ce1f4bf296c81d83910e9ce3b919753d284a96599665312bd35c5889d3e67fc5",
-        "verify@2": "ec8ee29023764a71a96579f4caabf7b076fcd8224a49c66a8a7c92a999a67534",
-        "verify@4": "2e4bca7556da148fbc660ad9b7b77360b1848186c2ef73048b849160f49ddcac",
-        "verify@8": "933a4af546d703d5477a859bcbc870f627e7dd7560b22643b738a6bf15ca199a",
-        "verify@16": "7e9c6c15910ca0021ab94c3c26c8f2eb596ec7370022527f51e8e7cd98d6eb59",
-        "verify@28": "feda65e554ca22344f7c04520babc4bb9257befc251f294645b57c718c816c23",
-        "verify@50": "66d7b0fb4d39e0aa692dcd37f66b42281f30a37dc4d6a1a1716ad86083327488",
-        "verify@100": "5966ad90003ac2fe0f53534e6f87bd6e3dbc64f8b2909dd1788021f18c3a20f9",
-        "poisson-verify": "89d552d2c675af0bd4b4f49b97cfa635a7b60ec4688490b823f726a11a124552",
-        "faulted-verify": "8845defa22517956f55c386ae62ea88c83fe9f99d9f7387b676e77054df4051b",
-        "sequencer-outage": "764434926fd5b3a543367fadcf355921aa57c710133abdd9105ddc02742fb95e",
-        "broker-flap": "c1a704518749c33611633c04206a7a9fb285e9279e957258a195333f5050f7ec",
-        "max-count-1": "71f6695b51e738474e40a2595bdb7831fb2099a9d3c218ad800e9e6ab20dd1c8",
-        "poisson-register": "fa8c3a704f92890f9f66e9636ee46f9e65b566dd9bceee338a7912b3a5710b01",
-        "zero-service-poisson": "29f9d240706230c4edee6c63147121d4bf121f3aa39d91b971fdc87a35b75b8e",
-        "faults-on-finishes": "58cd788e5785cd491cedf934092fa334fbaba4a675a6b01afb7fc630abafeb91",
+        "register@1": "0b618e3f56113a371199fd6cb53aeea5b977e48335767612891059b9f0c5d254",
+        "register@2": "f2aca5092f4c97323ae2df0382f92335c63261a368a21eef43fba639d9b3d76b",
+        "register@4": "a47a943dfff0c2d7e969cd2a10ce29b2295410650b1d51923ab925207aa84c51",
+        "register@8": "95b0defbb6a3dd7a9d2c0c745a522e51dbb8a4b1ea027add922b0c22ba81d071",
+        "register@16": "8cc88b9325ab36c5dbfbe4619e7aaa6f3f9ec397089449ddf0fd547502bfe9b3",
+        "register@28": "e664d4e41d5311a315185c79e7ab0b83464d9bbb9989ae60f42e6ad9d53ee76a",
+        "verify@1": "8c5380718bc910691042a616ea7730e610e1815038677252132eaeff6bbcbb34",
+        "verify@2": "0ab2a716c5c21abd9c54b7f3154245672722418bd6d9db62b487c8f5fba10801",
+        "verify@4": "cdfbbf17d1b5b7406fc2ba97fef52aef5ae06d0abfe9ba3a7677ce5f40170af5",
+        "verify@8": "19d271b96af5c567075901261f5df5a6d3d71d31d645dded7a47e69455135d62",
+        "verify@16": "6c345ef9f5d9e34bee0f6bc6513c36f32be445a761f558eaaf526a827014ce0e",
+        "verify@28": "68da118d2fb3ccc536010ed2b608a2cd47b9ced24dc8d9292e58f795fd6fb1c3",
+        "verify@50": "dfdbf309a1237e5a9e07eda87942775e01d36fd7547b3f4554fba429804e43d6",
+        "verify@100": "d742f40c0938ce1b4f92488687e3c52452756c6383cba9d616eab09f551a1cc6",
+        "poisson-verify": "c1739d83bcc0c4f59d36fe52bf9d3dd4c06fd82e74c56de57ce0d77b941f8118",
+        "faulted-verify": "5741166814d88de953475cc0cc69bca5e40bbc08bb7cc9a4431dcde5833d01c3",
+        "sequencer-outage": "7163d90ea2bf241be007bdb8dee43c33840f91e75bdd78a877e77f51b9956e2d",
+        "broker-flap": "713cccda59c2a84f50df21f5470172d5f74a4d678d54d683789ea48cee9d969d",
+        "max-count-1": "4c021b2d1d0da669d22a746345d1347b86180ff6e3b2da5a38bcff59bd78d27a",
+        "poisson-register": "b12bf7699553c06a3036d8fb3f7099c8e570542357065bed0f98e8736574e30d",
+        "zero-service-poisson": "58a3d90b901f9d6cc271bb15ee1bb85cd871edc139954c0ddc2195af264de7d1",
+        "faults-on-finishes": "7d5fc9f359f2992dca3a648b4ac092c5a92dd6a238a1cfb4666818841db231a1",
     }
 
     def test_flow_digests_pinned(self, flow_digests):

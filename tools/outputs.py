@@ -5,10 +5,12 @@
 Each side runs the commands of ``RUNS`` as ``python3 -m vaxledger.cli``, one
 process at a time, in a temporary directory of its own, with relative output
 paths and only that checkout's ``src`` on ``PYTHONPATH``. The directory starts
-with the default register and verify scenario configs and a copy of the
-checkout's ``benchmarks/reference_targets.csv``. Each command's exit code and
-stdout are one output, and each file in the directory after the last command
-is another. The script prints both sides' SHA-256 of each output and exits 1
+with the default register and verify scenario configs, a copy of the
+checkout's ``benchmarks/reference_targets.csv`` and a credential fixture that is
+not valid JSON. Two runs read that fixture and a config file that is not
+there, so a change to an error path's exit code shows. Each command's exit
+code and stdout are one output, and each file in the directory after the last
+command is another. The script prints both sides' SHA-256 of each output and exits 1
 iff any pair differs, an output that one side lacks included. The two
 ``calibrate`` runs take most of its time: both sides together take about three
 minutes on a 2-core machine. It imports nothing from either checkout.
@@ -35,11 +37,13 @@ CONFIGS = {
                     "preloaded_records": 4700},
 }
 TARGETS = "targets.csv"
+NOT_JSON = ("not-json.json", '{"format": "vaxledger-credential/1",\n')  # (file name, text)
 
 # (output name, CLI arguments), run in this order in one directory; every subcommand runs.
 RUNS = (
     ("issue", ["issue", "--out", "cred.json"]),
     ("hash", ["hash", "cred.json"]),
+    ("hash not-json.json", ["hash", NOT_JSON[0]]),
     ("register", ["register", "cred.json"]),
     ("register --ms FR", ["register", "cred.json", "--ms", "FR"]),
     ("verify", ["verify", "cred.json"]),
@@ -49,6 +53,7 @@ RUNS = (
                            "--snapshot", "register.ndjson", "--trace", "register-trace.ndjson"]),
     ("simulate verify", ["simulate", "--config", "verify.json", "--out", "verify.csv",
                          "--snapshot", "verify.ndjson", "--trace", "verify-trace.ndjson"]),
+    ("simulate --config missing.json", ["simulate", "--config", "missing.json"]),
     ("report register.csv", ["report", "register.csv"]),
     ("calibrate --max-rounds 1", ["calibrate", "--targets", TARGETS, "--max-rounds", "1",
                                   "--out", "round.json"]),
@@ -68,6 +73,7 @@ def run_side(checkout: Path) -> dict:
         work = Path(tmp)
         for name, doc in CONFIGS.items():
             (work / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        (work / NOT_JSON[0]).write_text(NOT_JSON[1], encoding="utf-8")
         shutil.copyfile(checkout / "benchmarks" / "reference_targets.csv", work / TARGETS)
         for name, args in RUNS:
             proc = subprocess.run([sys.executable, "-m", "vaxledger.cli", *args], cwd=work,

@@ -2,7 +2,9 @@
 
 Subcommands: issue, hash, register, verify, simulate, calibrate, report.
 Exit codes: 0 success, 1 configuration error, 2 calibration failure,
-3 I/O error.
+3 I/O error. A usage error (an unknown command or option, a missing or
+malformed argument) is a configuration error: it exits 1 with click's
+message, not click's own 2.
 """
 
 from __future__ import annotations
@@ -54,7 +56,26 @@ def _handle_errors(fn):
     return wrapper
 
 
-@click.group()
+def _usage_errors_exit_config(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG_ERROR
+        raise
+
+
+class _Group(click.Group):
+    """A click group whose usage errors, parsed by `make_context` or met by
+    `invoke` in a subcommand's arguments, exit 1."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_errors_exit_config(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_errors_exit_config(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Permissioned vaccination-certificate ledger: tools and simulator."""
 
@@ -263,7 +284,7 @@ def simulate(config_path, seed, trace_path, out_path, snapshot_path):
 @main.command(name="calibrate")
 @click.option("--targets", "targets_path", required=True, type=click.Path())
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Fitted profile JSON.")
-@click.option("--max-rounds", default=4, show_default=True)
+@click.option("--max-rounds", default=4, show_default=True, type=click.IntRange(min=0))
 @_handle_errors
 def calibrate_cmd(targets_path, out_path, max_rounds):
     """Fit the service-time profile against a benchmark target CSV."""

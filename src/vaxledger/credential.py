@@ -4,6 +4,9 @@ A credential is a signed assertion by a medical-center issuer about a vaccinated
 subject. Only its hash is ever anchored on the ledger; the credential itself
 travels with the citizen. All operations here are pure functions over frozen
 values and are safe to call concurrently, their bounded key memo `_PREPARED_KEYS` too.
+The memo prepares each signing key and each Ed25519 public key once. Ed25519 comes
+from `cryptography`, imported when the memo first prepares an Ed25519 key, so a
+caller that signs only with HMAC-SHA256, as the simulator's sweeps do, never loads it.
 
 Canonical encoding
 ------------------
@@ -33,12 +36,6 @@ import hmac as _hmac
 import re
 import struct
 from dataclasses import dataclass, replace
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 __all__ = [
     "CredentialError",
@@ -159,22 +156,48 @@ def generate_keypair(
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")
 
 
-# (scheme_id, key bytes) -> the key prepared once: an Ed25519 key object, or the HMAC
-# key schedule, SHA-256 states after the key (hashed if longer) padded to 64 bytes (RFC 2104).
+# (tag, key bytes) -> the key prepared once. The tag is the scheme id for a signing key
+# and _ED25519_PUBLIC for a checking one, so 32 equal bytes never stand for the other
+# kind. HMAC-SHA256: the key schedule, SHA-256 states after the key (hashed if longer)
+# padded to 64 bytes (RFC 2104). Ed25519: the private key object, or a public key's check.
 _PREPARED_KEYS: dict = {}
+_ED25519_PUBLIC = "ed25519-public"
 
 
-def _prepared(scheme_id: str, key: bytes):
+def _prepared(tag: str, key: bytes):
     key = key if type(key) is bytes else bytes(memoryview(key))  # any bytes-like key, as before
-    prepared = _PREPARED_KEYS.get((scheme_id, key))
+    prepared = _PREPARED_KEYS.get((tag, key))
     if prepared is None:
-        if len(_PREPARED_KEYS) >= 128:  # a bound; a default world uses at most 55 keys
+        if len(_PREPARED_KEYS) >= 128:  # a bound; at worst 27 private + 27 public + 28 HMAC = 82
             _PREPARED_KEYS.clear()
-        block = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\0")
-        prepared = _PREPARED_KEYS[scheme_id, key] = (
-            Ed25519PrivateKey.from_private_bytes(key) if scheme_id == ED25519
-            else tuple(hashlib.sha256(bytes(b ^ pad for b in block)) for pad in (0x36, 0x5C)))
+        prepared = _PREPARED_KEYS[tag, key] = _prepare(tag, key)
     return prepared
+
+
+def _prepare(tag: str, key: bytes):
+    if tag == HMAC_SHA256:
+        block = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\0")
+        return tuple(hashlib.sha256(bytes(b ^ pad for b in block)) for pad in (0x36, 0x5C))
+    # The Ed25519 backend (cryptography's compiled extension, with its own OpenSSL) is
+    # imported at the first Ed25519 key, so a run that signs only with HMAC never loads it.
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+
+    if tag == ED25519:
+        return Ed25519PrivateKey.from_private_bytes(key)
+    public_key = Ed25519PublicKey.from_public_bytes(key)  # ValueError unless 32 bytes
+
+    def check(payload: bytes, signature: bytes) -> bool:
+        try:
+            public_key.verify(signature, payload)
+            return True
+        except (InvalidSignature, ValueError):
+            return False
+
+    return check
 
 
 def _hmac_sha256(key: bytes, payload: bytes) -> bytes:
@@ -197,10 +220,10 @@ def sign_payload(scheme_id: str, private_key: bytes, payload: bytes) -> bytes:
 def verify_payload(scheme_id: str, public_key: bytes, payload: bytes, signature: bytes) -> bool:
     if scheme_id == ED25519:
         try:
-            Ed25519PublicKey.from_public_bytes(public_key).verify(signature, payload)
-            return True
-        except (InvalidSignature, ValueError):
+            check = _prepared(_ED25519_PUBLIC, public_key)
+        except ValueError:  # not an Ed25519 public key
             return False
+        return check(payload, signature)
     if scheme_id == HMAC_SHA256:
         return _hmac.compare_digest(_hmac_sha256(public_key, payload), signature)
     raise ValueError(f"unknown signature scheme: {scheme_id!r}")

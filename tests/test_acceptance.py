@@ -547,6 +547,20 @@ def test_default_sweep_csv_bytes_pinned(default_sweeps):
     print("CSV DIGESTS: PASS — default register and verify CSVs match their pinned SHA-256")
 
 
+@pytest.mark.parametrize("delta_ms", [0.5, 1.0, -0.5])
+def test_endorse_orderer_split_is_not_identifiable(delta_ms):
+    """Under uniform arrivals the default CSVs pin only the sum of `endorse_ms`
+    and `orderer_per_envelope_ms`: moving δ ms from one to the other changes no
+    byte of either CSV, so no fit against them can tell the two apart."""
+    profile = replace(DEFAULT_PROFILE, endorse_ms=DEFAULT_PROFILE.endorse_ms - delta_ms,
+                      orderer_per_envelope_ms=DEFAULT_PROFILE.orderer_per_envelope_ms + delta_ms)
+    for name, make in (("register", default_register_config), ("verify", default_verify_config)):
+        config = make(service_profile=profile)
+        assert config.arrival_mode == "uniform"
+        csv_text = report_to_csv_text(run_scenario(config))
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == DEFAULT_CSV_SHA256[name], name
+
+
 def test_criterion_10_determinism(default_sweeps, tmp_path):
     first_outputs, _ = default_sweeps
     second_outputs, _ = run_default(seed=42, tmp_path=tmp_path)

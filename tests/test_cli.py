@@ -311,3 +311,40 @@ class TestCalibrateAndReport:
     def test_report_missing_file_io_error(self, runner):
         result = runner.invoke(main, ["report", "missing.csv"])
         assert result.exit_code == 3
+
+
+class TestUsageErrors:
+    """Click exits 2 on a usage error, which here means a failed calibration;
+    every usage error exits 1, the configuration-error code, with click's message."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate"], "Missing option '--config'"),
+            (["calibrate", "--targets", REFERENCE_TARGETS, "--max-rounds", "abc"],
+             "Invalid value for '--max-rounds'"),
+            (["calibrate", "--targets", REFERENCE_TARGETS, "--max-rounds", "-1"],
+             "Invalid value for '--max-rounds': -1 is not in the range x>=0"),
+            (["bogus"], "No such command 'bogus'"),
+            (["--bogus", "report"], "No such option '--bogus'"),
+            (["report"], "Missing argument 'CSV_FILE'"),
+        ],
+        ids=["missing-option", "non-integer", "negative-rounds", "unknown-command",
+             "unknown-group-option", "missing-argument"],
+    )
+    def test_usage_error_exits_1(self, runner, monkeypatch, args, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a usage error must stop before any fit")
+
+        monkeypatch.setattr("vaxledger.cli.calibrate", no_fit)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage: ")
+        assert f"Error: {message}" in result.stderr
+
+    def test_no_command_prints_help_and_exits_1(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 1
+        assert "Commands:" in result.output

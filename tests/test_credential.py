@@ -3,11 +3,16 @@
 import hashlib
 import hmac
 import json
+import os
+import subprocess
 import sys
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from hypothesis import example, given, settings, strategies as st
 
 from vaxledger import credential as credential_module
@@ -364,6 +369,39 @@ class TestPreparedKeys:
         assert signature == Ed25519PrivateKey.from_private_bytes(secret).sign(payload)
         assert sign_payload(ED25519, secret, payload) == signature
 
+    @settings(max_examples=40, deadline=None)
+    @given(secret=st.binary(min_size=32, max_size=32), payload=st.binary(max_size=512),
+           bit=st.integers(0, 2**12))
+    @example(secret=b"s" * 32, payload=b"", bit=0)
+    def test_ed25519_check_matches_a_key_built_per_call(self, secret, payload, bit):
+        """A public key is checked through the memo as a key built for each call
+        checks it, malformed keys and signatures included; a public key whose
+        bytes equal a prepared private key is still taken as a public key."""
+
+        def per_call(public_key, payload, signature):
+            try:
+                Ed25519PublicKey.from_public_bytes(public_key).verify(signature, payload)
+                return True
+            except (InvalidSignature, ValueError):
+                return False
+
+        public = Ed25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
+        signature = sign_payload(ED25519, secret, payload)
+        assert verify_payload(ED25519, public, payload, signature)
+        rejected = [
+            (public, payload, _flip(signature, bit)),
+            (public[:31], payload, signature),
+            (public + b"\0", payload, signature),
+            (public, payload, signature[:63]),
+            (secret, payload, signature),  # the private key's bytes, already in the memo
+        ]
+        if payload:
+            rejected.append((public, _flip(payload, bit), signature))
+        for args in rejected:
+            assert verify_payload(ED25519, *args) is per_call(*args) is False
+        assert sign_payload(ED25519, public, payload) == (
+            Ed25519PrivateKey.from_private_bytes(public).sign(payload))
+
     def test_rejected_keys_still_raise(self):
         with pytest.raises(ValueError):
             sign_payload(ED25519, b"short", b"p")
@@ -409,3 +447,63 @@ class TestPreparedKeys:
         metrics, _run = run_level(config, config.tps_levels[0])
         assert metrics.requests > 0
         assert len(derived) == len(set(derived)) == len(EU_MEMBER_STATES) + 1
+
+    def test_one_preparation_per_key_over_an_anchor_loop(self, monkeypatch):
+        """As in the anchor round trip, 27 issuers issue credentials that are
+        checked, and a tampered copy of each rejected; each issuer's private
+        and public key is prepared once, however many credentials it signs."""
+        derived = []
+
+        class Memo(dict):
+            def __setitem__(self, key, value):
+                derived.append(key)
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(credential_module, "_PREPARED_KEYS", Memo())
+        issuers = []
+        for ms in EU_MEMBER_STATES:
+            did = generate_did("center", b"anchor-center|" + ms.encode())
+            issuers.append((did, generate_keypair(did, b"anchor-issuer|" + ms.encode())))
+        issuer_keys = {did.text: (ED25519, key.public_key) for did, key in issuers}
+        subject = generate_did("citizen", b"anchor-subject")
+        for batch in range(3):
+            for did, key in issuers:
+                credential = issue_credential(
+                    key, did, subject, vaccine_product="mRNA-X", dose_number=2, total_doses=2,
+                    batch_id=f"LOT-{batch}", issuance_date=1_700_000_000, validity_seconds=YEAR)
+                assert verify_credential(credential, issuer_keys, 1_700_000_001).accepted
+                tampered = replace(credential, batch_id=credential.batch_id + "x")
+                assert verify_credential(tampered, issuer_keys, 1_700_000_001).reason == "signature"
+        assert len(derived) == len(set(derived)) == 2 * len(EU_MEMBER_STATES)
+        assert {tag for tag, _key in derived} == {ED25519, credential_module._ED25519_PUBLIC}
+
+
+# Run in a fresh interpreter: prints the `cryptography` modules loaded after the CLI
+# module and two short sweeps, then after one Ed25519 key pair.
+_FOOTPRINT = """
+import json, sys
+import vaxledger.cli
+from vaxledger.bench import run_scenario
+from vaxledger.credential import generate_did, generate_keypair
+from vaxledger.scenario import default_register_config, default_verify_config
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "cryptography")
+
+run_scenario(default_register_config(tps_levels=(1, 4), duration_seconds=2))
+run_scenario(default_verify_config(tps_levels=(1, 4), duration_seconds=2, preloaded_records=50))
+print(json.dumps(loaded()))
+generate_keypair(generate_did("center", b"center"), b"issuer")
+print(json.dumps(loaded()))
+"""
+
+
+def test_sweeps_never_load_the_ed25519_backend():
+    """Only an Ed25519 key loads `cryptography`; the sweeps sign with HMAC-SHA256."""
+    src = Path(credential_module.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_sweeps, after_key = map(json.loads, proc.stdout.splitlines())
+    assert after_sweeps == []
+    assert "cryptography.hazmat.primitives.asymmetric.ed25519" in after_key

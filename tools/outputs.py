@@ -8,7 +8,9 @@ paths and only that checkout's ``src`` on ``PYTHONPATH``. The directory starts
 with the default register and verify scenario configs, a copy of the
 checkout's ``benchmarks/reference_targets.csv`` and a credential fixture that is
 not valid JSON. Two runs read that fixture and a config file that is not
-there, so a change to an error path's exit code shows. Each command's exit
+there, and four are usage errors (``simulate`` without ``--config``, a
+non-integer and a negative ``--max-rounds``, an unknown subcommand), so a
+change to an error path's exit code shows. Each command's exit
 code and stdout are one output, and each file in the directory after the last
 command is another. The script prints both sides' SHA-256 of each output and exits 1
 iff any pair differs, an output that one side lacks included. The two
@@ -58,6 +60,10 @@ RUNS = (
     ("calibrate --max-rounds 1", ["calibrate", "--targets", TARGETS, "--max-rounds", "1",
                                   "--out", "round.json"]),
     ("calibrate", ["calibrate", "--targets", TARGETS, "--out", "fit.json"]),
+    ("simulate (no --config)", ["simulate"]),
+    ("calibrate --max-rounds abc", ["calibrate", "--targets", TARGETS, "--max-rounds", "abc"]),
+    ("calibrate --max-rounds -1", ["calibrate", "--targets", TARGETS, "--max-rounds", "-1"]),
+    ("unknown subcommand", ["no-such-command"]),
 )
 
 
